@@ -12,13 +12,13 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
 from .corpus import EOS_ID, PAD_ID, SOS_ID, LabeledDataset, Vocabulary, build_vocabulary, encode
-from .numcore import AdamState, Array, Rng, Tape, adam_step
+from .numcore import AdamState, Array, Rng, Tape, adam_step, gru_cell
 
 __all__ = [
     "AutoencoderConfig",
@@ -67,16 +67,7 @@ class AutoencoderConfig:
             raise ValueError("clip_c must be positive and finite")
 
     def to_dict(self) -> dict:
-        return {
-            "vocab_size": self.vocab_size,
-            "embed_dim": self.embed_dim,
-            "hidden_dim": self.hidden_dim,
-            "max_len": self.max_len,
-            "epochs": self.epochs,
-            "learning_rate": self.learning_rate,
-            "batch_size": self.batch_size,
-            "clip_c": self.clip_c,
-        }
+        return asdict(self)
 
 
 def _parameter_shapes(config: AutoencoderConfig) -> dict[str, tuple[int, ...]]:
@@ -116,30 +107,17 @@ class AutoencoderCheckpoint:
     metadata: dict = field(default_factory=dict)
 
 
-def _gru_cell(x: Array, h: Array, w: dict[str, Array], side: str) -> Array:
-    """Plain-numpy GRU step for inference; mirrors the tape version."""
-    xh = np.concatenate([x, h], axis=1)
-    z = _np_sigmoid(xh @ w[f"{side}_wz"] + w[f"{side}_bz"])
-    r = _np_sigmoid(xh @ w[f"{side}_wr"] + w[f"{side}_br"])
-    xrh = np.concatenate([x, r * h], axis=1)
-    cand = np.tanh(xrh @ w[f"{side}_wh"] + w[f"{side}_bh"])
-    return (1.0 - z) * h + z * cand
-
-
-def _np_sigmoid(x: Array) -> Array:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+def _gru_weights(params: dict, side: str) -> tuple:
+    """One side's (wz, bz, wr, br, wh, bh) in ``gru_cell`` order; the
+    values are arrays for inference and tape nodes for training."""
+    return tuple(params[f"{side}_{name}"] for name in ("wz", "bz", "wr", "br", "wh", "bh"))
 
 
 class Autoencoder:
     """Encoder/decoder pair sharing one embedding table.
 
-    Training goes through the gradient tape; encode/decode inference uses
-    plain numpy with the same arithmetic (parity is covered by tests).
+    Training and inference run the same GRU step, ``numcore.gru_cell``:
+    the tape's ``gru_step`` op uses it as its forward.
     """
 
     def __init__(
@@ -205,10 +183,10 @@ class Autoencoder:
         b = ids.shape[0]
         h = np.zeros((b, self.config.hidden_dim))
         emb = self.parameters["embedding"]
+        weights = _gru_weights(self.parameters, "enc")
         for t in range(ids.shape[1]):
             step = ids[:, t]
-            x = emb[step]
-            h_new = _gru_cell(x, h, self.parameters, "enc")
+            h_new = gru_cell(emb[step], h, weights)[0]  # no cache kept across steps: peak memory
             real = (step != PAD_ID)[:, None]
             h = np.where(real, h_new, h)
         return h
@@ -233,6 +211,7 @@ class Autoencoder:
         b = latents.shape[0]
         h = latents.copy()
         emb = self.parameters["embedding"]
+        weights = _gru_weights(self.parameters, "dec")
         tokens = np.full(b, SOS_ID, dtype=np.int64)
         done = np.zeros(b, dtype=bool)
         eos_step = np.full(b, -1)
@@ -240,8 +219,7 @@ class Autoencoder:
         for step_i in range(limit + 1):  # +1 so EOS can follow a full-budget output
             if done.all():
                 break
-            x = emb[tokens]
-            h = np.where(done[:, None], h, _gru_cell(x, h, self.parameters, "dec"))
+            h = np.where(done[:, None], h, gru_cell(emb[tokens], h, weights)[0])
             logits = h @ self.parameters["out_w"] + self.parameters["out_b"]
             nxt = np.argmax(logits, axis=1)
             emitted.append(np.where(done, PAD_ID, nxt))
@@ -265,14 +243,6 @@ class Autoencoder:
 
     # -- training -----------------------------------------------------------
 
-    def _tape_gru_step(self, tape: Tape, leaves, x, h, side: str):
-        xh = tape.concat([x, h], axis=1)
-        z = tape.sigmoid(tape.add(tape.matmul(xh, leaves[f"{side}_wz"]), leaves[f"{side}_bz"]))
-        r = tape.sigmoid(tape.add(tape.matmul(xh, leaves[f"{side}_wr"]), leaves[f"{side}_br"]))
-        xrh = tape.concat([x, tape.mul(r, h)], axis=1)
-        cand = tape.tanh(tape.add(tape.matmul(xrh, leaves[f"{side}_wh"]), leaves[f"{side}_bh"]))
-        return tape.add(tape.mul(tape.one_minus(z), h), tape.mul(z, cand))
-
     def build_loss(self, tape: Tape, leaves: dict, batch: Array):
         """Teacher-forced reconstruction loss for a padded (B, T) batch.
 
@@ -281,11 +251,12 @@ class Autoencoder:
         """
         batch = np.asarray(batch)
         b, t_len = batch.shape
+        enc, dec = _gru_weights(leaves, "enc"), _gru_weights(leaves, "dec")
         h = tape.leaf(np.zeros((b, self.config.hidden_dim)), name="h0")
         for t in range(t_len):
             step = batch[:, t]
             x = tape.row_select(leaves["embedding"], step)
-            h_new = self._tape_gru_step(tape, leaves, x, h, "enc")
+            h_new = tape.gru_step(x, h, enc)
             h = tape.where_rows(step != PAD_ID, h_new, h)
         latent = tape.clip_rows_l1(h, self.config.clip_c)
 
@@ -293,7 +264,7 @@ class Autoencoder:
         step_logits = []
         for t in range(t_len - 1):
             x = tape.row_select(leaves["embedding"], batch[:, t])
-            h = self._tape_gru_step(tape, leaves, x, h, "dec")
+            h = tape.gru_step(x, h, dec)
             step_logits.append(tape.add(tape.matmul(h, leaves["out_w"]), leaves["out_b"]))
         logits = tape.concat(step_logits, axis=0)
         targets = batch[:, 1:].T.reshape(-1)  # timestep-major, matching the concat
@@ -436,11 +407,10 @@ def load_checkpoint(path: str | Path) -> AutoencoderCheckpoint:
         nbytes = count * 8
         if offset + nbytes > len(raw):
             raise CheckpointCorruptError(f"truncated blob for parameter {name!r}")
-        parameters[name] = (
-            np.frombuffer(raw, dtype="<f8", count=count, offset=offset)
-            .reshape(shape)
-            .astype(np.float64)
-        )
+        blob = np.frombuffer(raw, dtype="<f8", count=count, offset=offset)
+        if not np.all(np.isfinite(blob)):
+            raise CheckpointCorruptError(f"parameter {name!r} holds non-finite values")
+        parameters[name] = blob.reshape(shape).astype(np.float64)
         offset += nbytes
     if offset != len(raw):
         raise CheckpointCorruptError("trailing bytes after final parameter blob")

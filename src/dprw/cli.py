@@ -103,7 +103,6 @@ def build_parser() -> _Parser:
 
     p = commands.add_parser("pretrain", help="train the autoencoder and save a checkpoint")
     p.add_argument("--train", help="training split TSV")
-    p.add_argument("--val", help="validation split TSV")
     p.add_argument("--out", help="checkpoint output path (default <out-dir>/checkpoint.bin)")
     _add_autoencoder_flags(p)
     _add_common(p, "runs/pretrain")
@@ -146,7 +145,7 @@ def build_parser() -> _Parser:
 
 _CONFIG_KEYS = {
     "pretrain": {
-        "train", "val", "out", "epochs", "lr", "clip", "max_len", "embed_dim",
+        "train", "out", "epochs", "lr", "clip", "max_len", "embed_dim",
         "hidden_dim", "batch_size", "out_dir", "seed", "jobs",
     },
     "rewrite": {"checkpoint", "train", "val", "epsilon", "clip", "out_dir", "seed", "jobs"},
@@ -286,7 +285,6 @@ def _experiment_config(ns: argparse.Namespace, opts: _Options) -> ExperimentConf
             return ExperimentConfig(
                 mode="pretrain",
                 train_path=opts.require("train", "train"),
-                validation_path=opts.get("val"),
                 checkpoint_out=opts.get("out"),
                 autoencoder=_autoencoder_config(opts),
                 **common,

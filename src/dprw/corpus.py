@@ -57,10 +57,13 @@ def tokenize(text: str) -> list[str]:
 
 
 def load_split(path: str | Path) -> list[Document]:
-    """Read one split file; malformed lines are reported with their number."""
+    """Read one split file; malformed lines are reported with their number.
+
+    A leading UTF-8 byte-order mark is dropped, not read into the first label.
+    """
     path = Path(path)
     docs = []
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n").rstrip("\r")
             if "\t" not in line:
@@ -152,8 +155,3 @@ def write_split(docs: list[Document], path: str | Path) -> None:
         for doc in docs:
             text = doc.text.replace("\t", " ").replace("\r", " ").replace("\n", " ")
             fh.write(f"{doc.label}\t{text}\n")
-
-
-def write_rewritten_dataset(docs: list[Document], path: str | Path) -> None:
-    """Alias for write_split; rewritten datasets carry source labels unchanged."""
-    write_split(docs, path)

@@ -9,7 +9,7 @@ deterministic, and has an exactly order-invariant pooling stage.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -21,7 +21,6 @@ __all__ = [
     "ClassifierConfig",
     "ClassifierModel",
     "train_classifier",
-    "predict",
     "predict_batch",
     "random_baseline",
     "majority_baseline",
@@ -44,12 +43,7 @@ class ClassifierConfig:
             raise ValueError("learning_rate must be positive")
 
     def to_dict(self) -> dict:
-        return {
-            "embed_dim": self.embed_dim,
-            "learning_rate": self.learning_rate,
-            "epochs": self.epochs,
-            "batch_size": self.batch_size,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -89,10 +83,6 @@ def predict_batch(model: ClassifierModel, docs: list[Document], vocab: Vocabular
         return []
     logits = _logits(_mean_pool_matrix(docs, vocab), model)
     return [model.labels[i] for i in np.argmax(logits, axis=1)]
-
-
-def predict(model: ClassifierModel, doc: Document, vocab: Vocabulary) -> str:
-    return predict_batch(model, [doc], vocab)[0]
 
 
 def _init_model(labels: list[str], vocab: Vocabulary, config: ClassifierConfig, rng: Rng) -> ClassifierModel:

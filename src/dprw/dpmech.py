@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numcore import Array, Rng, as_f64
+from .numcore import Array, Rng, as_f64, clip_rows_l1
 
 #: Absolute tolerance for clip-norm and bound checks; covers float64 rounding.
 BOUND_TOL = 1e-9
@@ -49,17 +49,14 @@ def clip_l1(v: Array, clip_c: float) -> Array:
 
     Returns v * min(1, clip_c / ||v||_1): direction is preserved, vectors
     already inside the ball come back bit-identical, and the operation is
-    idempotent up to rounding.
+    idempotent up to rounding. This is ``numcore.clip_rows_l1`` on one row.
     """
     if clip_c <= 0:
         raise ValueError("clip_c must be positive")
     v = as_f64(v)
     if not np.all(np.isfinite(v)):
         raise ValueError("clip_l1 requires finite input")
-    norm = float(np.abs(v).sum())
-    if norm <= clip_c:
-        return v.copy()
-    return v * (clip_c / norm)
+    return clip_rows_l1(v.reshape(1, -1), clip_c)[0].reshape(v.shape)
 
 
 def calibrate_scale(params: PrivacyParams) -> float:
@@ -150,21 +147,12 @@ class BoundSuiteReport:
     ok: bool
 
 
-def _clip_rows(x: Array, clip_c: float) -> Array:
-    """Row-wise clip_l1 over a matrix; same math as the vector version."""
-    norms = np.abs(x).sum(axis=1)
-    scale = np.ones_like(norms)
-    over = norms > clip_c
-    scale[over] = clip_c / norms[over]
-    return x * scale[:, None]
-
-
 def _random_clipped_batch(rng: Rng, n: int, dim: int, clip_c: float) -> Array:
     """Random vectors inside (or on) the l1 ball, biased toward the surface."""
     raw = rng.derive("dir").normal(0.0, 1.0, (n, dim))
     norms = np.maximum(np.abs(raw).sum(axis=1), 1e-12)
     radius = clip_c * (0.5 + 0.75 * rng.derive("radius").random(n))  # up to 1.25C, then clipped
-    return _clip_rows(raw * (radius / norms)[:, None], clip_c)
+    return clip_rows_l1(raw * (radius / norms)[:, None], clip_c)[0]
 
 
 def run_bound_suite(

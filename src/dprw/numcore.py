@@ -1,5 +1,6 @@
-"""Dense float64 numeric core: deterministic RNG streams, a reverse-mode
-tape over a small set of array primitives, and an Adam optimizer.
+"""Dense float64 numeric core: deterministic RNG streams, the one sigmoid,
+GRU cell and row-wise l1 clip that the tape, inference and the privacy
+mechanism share, a reverse-mode tape, and an Adam optimizer.
 
 Values are plain numpy float64 arrays. Every tape operation validates
 shapes and rejects non-finite results, so a diverging training run fails
@@ -92,6 +93,77 @@ class Rng:
 
 
 # ---------------------------------------------------------------------------
+# Shared array math
+
+
+def sigmoid(x: Array) -> Array:
+    """Logistic function; exp only ever sees -|x|, so it never overflows."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
+def gru_cell(x: Array, h: Array, weights: Sequence[Array]) -> tuple[Array, tuple]:
+    """One GRU step (Cho et al. 2014) over a batch of rows.
+
+    ``weights`` is (wz, bz, wr, br, wh, bh); with xh = [x, h]:
+    z = sigmoid(xh wz + bz), r = sigmoid(xh wr + br),
+    cand = tanh([x, r * h] wh + bh), h' = (1 - z) * h + z * cand.
+    Returns h' and the intermediates ``gru_cell_vjp`` needs.
+    """
+    wz, bz, wr, br, wh, bh = weights
+    xh = np.concatenate([x, h], axis=1)
+    z = sigmoid(xh @ wz + bz)
+    r = sigmoid(xh @ wr + br)
+    xrh = np.concatenate([x, r * h], axis=1)
+    cand = np.tanh(xrh @ wh + bh)
+    one_minus_z = 1.0 - z
+    return one_minus_z * h + z * cand, (xh, z, r, xrh, cand, one_minus_z)
+
+
+def gru_cell_vjp(g: Array, h: Array, weights: Sequence[Array], cache: tuple) -> tuple:
+    """Gradients of one ``gru_cell`` step for output gradient ``g``:
+    (dx, dx, dh, dh, dh, dwz, dbz, dwr, dbr, dwh, dbh). x and h get one term
+    per path (x: candidate, gates; h: carry, reset gate, gates), in the
+    order elementwise reverse mode would sum them, so sums round the same."""
+    wz, _, wr, _, wh, _ = weights
+    xh, z, r, xrh, cand, one_minus_z = cache
+    e = xh.shape[1] - h.shape[1]
+    # d_* is at a gate's output, da_* at its pre-activation
+    d_z = g * cand - g * h
+    da_h = (g * z) * (1.0 - cand * cand)
+    dxrh = da_h @ wh.T
+    d_rh = dxrh[:, e:]
+    da_r = d_rh * h * r * (1.0 - r)
+    da_z = d_z * z * (1.0 - z)
+    dxh = da_r @ wr.T + da_z @ wz.T
+    return (
+        dxrh[:, :e], dxh[:, :e],
+        g * one_minus_z, d_rh * r, dxh[:, e:],
+        xh.T @ da_z, da_z.sum(axis=0),
+        xh.T @ da_r, da_r.sum(axis=0),
+        xrh.T @ da_h, da_h.sum(axis=0),
+    )
+
+
+def clip_rows_l1(x: Array, c: float) -> tuple[Array, Array, Array]:
+    """Rescale each row of ``x`` into the l1 ball of radius ``c``.
+
+    Returns (x * scale[:, None], norms, scale); scale is c / ||x[i]||_1
+    outside the ball (direction is kept) and exactly 1 inside, so rows
+    inside pass through bit-exactly, signed zeros included.
+    """
+    if c <= 0:
+        raise ValueError("clip radius must be positive")
+    if x.ndim != 2:
+        raise ValueError("clip_rows_l1 expects a 2-D input")
+    norms = np.abs(x).sum(axis=1)
+    scale = np.ones_like(norms)
+    over = norms > c
+    scale[over] = c / norms[over]
+    return x * scale[:, None], norms, scale
+
+
+# ---------------------------------------------------------------------------
 # Reverse-mode tape
 
 
@@ -164,35 +236,6 @@ class Tape:
             )
         raise ValueError(f"add shape mismatch: {a.shape} + {b.shape}")
 
-    def mul(self, a: Node, b: Node) -> Node:
-        """Elementwise multiply (same shapes)."""
-        if a.shape != b.shape:
-            raise ValueError(f"mul shape mismatch: {a.shape} * {b.shape}")
-        return self._push(
-            a.value * b.value,
-            parents=(a, b),
-            vjps=(lambda g: g * b.value, lambda g: g * a.value),
-            name="mul",
-        )
-
-    def one_minus(self, a: Node) -> Node:
-        return self._push(1.0 - a.value, parents=(a,), vjps=(lambda g: -g,), name="one_minus")
-
-    def scale(self, a: Node, c: float) -> Node:
-        c = float(c)
-        return self._push(c * a.value, parents=(a,), vjps=(lambda g: c * g,), name="scale")
-
-    def sigmoid(self, a: Node) -> Node:
-        x = a.value
-        out = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))), np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
-        return self._push(
-            out, parents=(a,), vjps=(lambda g: g * out * (1.0 - out),), name="sigmoid"
-        )
-
-    def tanh(self, a: Node) -> Node:
-        out = np.tanh(a.value)
-        return self._push(out, parents=(a,), vjps=(lambda g: g * (1.0 - out * out),), name="tanh")
-
     def concat(self, parts: Sequence[Node], axis: int) -> Node:
         if axis not in (0, 1):
             raise ValueError("concat supports axis 0 or 1")
@@ -242,21 +285,10 @@ class Tape:
         )
 
     def clip_rows_l1(self, a: Node, c: float) -> Node:
-        """Rescale each row into the l1 ball of radius ``c``.
-
-        Rows already inside the ball pass through bit-exactly; clipped rows
-        are scaled by c / ||row||_1, which preserves direction.
-        """
-        if c <= 0:
-            raise ValueError("clip radius must be positive")
+        """Row-wise l1 clip (``clip_rows_l1`` above) as a tape op."""
         x = a.value
-        if x.ndim != 2:
-            raise ValueError("clip_rows_l1 expects a 2-D input")
-        norms = np.abs(x).sum(axis=1)
-        scale = np.ones_like(norms)
+        out, norms, scale = clip_rows_l1(x, c)
         over = norms > c
-        scale[over] = c / norms[over]
-        out = x * scale[:, None]
 
         def vjp(g):
             grad = g * scale[:, None]
@@ -267,6 +299,33 @@ class Tape:
             return grad
 
         return self._push(out, parents=(a,), vjps=(vjp,), name="clip_rows_l1")
+
+    def gru_step(self, x: Node, h: Node, weights: Sequence[Node]) -> Node:
+        """One ``gru_cell`` step as a single node; ``weights`` are the (wz,
+        bz, wr, br, wh, bh) nodes. ``gru_cell_vjp`` runs once, and only if
+        backward() reaches the node: a forward-only pass computes no
+        gradients."""
+        if x.value.ndim != 2 or h.value.ndim != 2 or x.shape[0] != h.shape[0]:
+            raise ValueError(f"gru_step expects (B, E) and (B, H) inputs, got {x.shape}, {h.shape}")
+        e, hd = x.shape[1], h.shape[1]
+        if [w.shape for w in weights] != [(e + hd, hd), (hd,)] * 3:
+            raise ValueError("gru_step weight shapes do not match the inputs")
+        values = tuple(w.value for w in weights)
+        h_new, cache = gru_cell(x.value, h.value, values)
+        grads: list = []
+
+        def part(i):
+            def vjp(g):
+                if not grads:
+                    grads.extend(gru_cell_vjp(g, h.value, values, cache))
+                return grads[i]
+
+            return vjp
+
+        parents = (x, x, h, h, h, *weights)
+        return self._push(
+            h_new, parents=parents, vjps=tuple(part(i) for i in range(len(parents))), name="gru_step"
+        )
 
     def sum_all(self, a: Node) -> Node:
         shape = a.shape

@@ -14,7 +14,7 @@ import json
 import math
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -39,7 +39,7 @@ from .corpus import (
     tokenize,
     write_split,
 )
-from .dpmech import PrivacyParams, calibrate_scale, clip_l1, sample_laplace
+from .dpmech import PrivacyParams, privatize
 from .downstream import (
     ClassifierConfig,
     majority_baseline,
@@ -160,6 +160,12 @@ def _stats_block(per_seed: dict[int, float]) -> dict:
     return {"per_seed": {str(s): per_seed[s] for s in sorted(per_seed)}, **aggregate_seed_stats(values)}
 
 
+def _random_baseline_block(dataset: LabeledDataset, seeds: list[int]) -> dict:
+    return _stats_block(
+        {s: random_baseline(dataset.test, dataset.label_set, Rng(s).derive("random-baseline")) for s in seeds}
+    )
+
+
 def _map_units(jobs: int, fn, items: list):
     if jobs <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
@@ -177,7 +183,7 @@ def rewrite_documents(
     seed: int,
     split_name: str,
 ) -> list[Document]:
-    """Encode, clip, privatize, and greedily decode every document.
+    """Encode, privatize (clip and noise), and greedily decode every document.
 
     Noise for document i comes from the stream (seed, "rewrite", split,
     i), so results do not depend on iteration order or parallel sharding.
@@ -186,16 +192,12 @@ def rewrite_documents(
     """
     if not docs:
         return []
-    scale = calibrate_scale(privacy)
     ids = pad_batch([encode(doc, model.vocabulary, model.config.max_len) for doc in docs])
     latents = model.encode_batch(ids)
     rng = Rng(seed)
-    noisy = np.empty_like(latents)
-    for i in range(latents.shape[0]):
-        vec = clip_l1(latents[i], privacy.clip_c)
-        if scale > 0.0:
-            vec = vec + sample_laplace(scale, vec.shape[0], rng.derive("rewrite", split_name, i))
-        noisy[i] = vec
+    noisy = np.stack(
+        [privatize(latent, privacy, rng.derive("rewrite", split_name, i)) for i, latent in enumerate(latents)]
+    )
     decoded = model.decode_greedy_batch(noisy)
     out = []
     for doc, token_ids in zip(docs, decoded):
@@ -299,8 +301,10 @@ def _rewrite_unit(payload):
 
 def run_rewrite(config: ExperimentConfig) -> dict:
     """Rewrite train and validation per seed; the test split is never
-    rewritten. Canonical TSVs come from the first seed."""
+    rewritten. Canonical TSVs come from the first seed. The recorded
+    autoencoder config is the checkpoint's, not the defaults."""
     ckpt = load_checkpoint(config.checkpoint_in)
+    config = replace(config, autoencoder=ckpt.config)
     dataset = _load_splits(config)
     results = _map_units(
         config.jobs,
@@ -371,12 +375,7 @@ def run_downstream(config: ExperimentConfig) -> dict:
         ],
     )
     f1 = _stats_block(dict(results))
-    rand = _stats_block(
-        {
-            seed: random_baseline(dataset.test, dataset.label_set, Rng(seed).derive("random-baseline"))
-            for seed in config.seeds
-        }
-    )
+    rand = _random_baseline_block(dataset, config.seeds)
     majority = majority_baseline(dataset.train, dataset.test)
 
     report = {
@@ -522,12 +521,7 @@ def run_case_study(config: ExperimentConfig) -> dict:
 
     baselines = {}
     for name, dataset in datasets.items():
-        rand = _stats_block(
-            {
-                seed: random_baseline(dataset.test, dataset.label_set, Rng(seed).derive("random-baseline"))
-                for seed in config.seeds
-            }
-        )
+        rand = _random_baseline_block(dataset, config.seeds)
         baselines[name] = {
             "random": rand,
             "majority": majority_baseline(dataset.train, dataset.test),

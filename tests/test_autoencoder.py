@@ -10,6 +10,7 @@ from dprw.autoencoder import (
     CheckpointCorruptError,
     CheckpointShapeError,
     CheckpointVersionError,
+    _gru_weights,
     _parameter_shapes,
     load_checkpoint,
     pad_batch,
@@ -126,13 +127,14 @@ def test_tape_and_numpy_gru_agree():
     # tape side: replay build_loss's encoder loop
     tape = Tape()
     leaves = {k: tape.leaf(v, name=k) for k, v in model.parameters.items()}
+    weights = _gru_weights(leaves, "enc")
     h = tape.leaf(np.zeros((batch.shape[0], model.config.hidden_dim)))
     for t in range(batch.shape[1]):
         step = batch[:, t]
         x = tape.row_select(leaves["embedding"], step)
-        h_new = model._tape_gru_step(tape, leaves, x, h, "enc")
+        h_new = tape.gru_step(x, h, weights)
         h = tape.where_rows(step != PAD_ID, h_new, h)
-    np.testing.assert_allclose(h.value, h_np, atol=1e-12)
+    np.testing.assert_array_equal(h.value, h_np)  # one GRU cell: bit-equal
 
 
 # -- decoding ----------------------------------------------------------------------
@@ -303,6 +305,16 @@ def test_checkpoint_rejects_trailing_garbage(tmp_path):
     path.write_bytes(path.read_bytes() + b"extra")
     with pytest.raises(CheckpointCorruptError):
         load_checkpoint(path)
+
+
+def test_checkpoint_rejects_non_finite_parameters(tmp_path):
+    for bad in (np.nan, np.inf):
+        ckpt = tiny_model().to_checkpoint()
+        ckpt.parameters["dec_bh"][1] = bad
+        path = tmp_path / "nonfinite.bin"
+        save_checkpoint(ckpt, path)
+        with pytest.raises(CheckpointCorruptError, match="'dec_bh'"):
+            load_checkpoint(path)
 
 
 def test_checkpoint_rejects_shape_drift(tmp_path):

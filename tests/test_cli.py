@@ -58,6 +58,17 @@ def test_unknown_flag_exits_1(capsys):
     assert "usage:" in capsys.readouterr().err
 
 
+def test_pretrain_has_no_validation_input(tmp_path, capsys):
+    # pre-training reads only the training split; a validation flag or
+    # config key would be accepted and then ignored
+    assert main(["pretrain", "--train", "x.tsv", "--val", "v.tsv"]) == EXIT_CONFIG
+    assert "unrecognized arguments: --val" in capsys.readouterr().err
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"train": "x.tsv", "val": "v.tsv"}))
+    assert main(["pretrain", "--config", str(cfg)]) == EXIT_CONFIG
+    assert "val" in capsys.readouterr().err
+
+
 def test_no_arguments_exits_1(capsys):
     assert main([]) == EXIT_CONFIG
 

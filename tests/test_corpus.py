@@ -143,6 +143,14 @@ def test_roundtrip_property_for_in_vocab_text(tokens):
     assert decode_ids(encode(Document(text, "x"), vocab, max_len=len(tokens)), vocab) == text
 
 
+def test_leading_byte_order_mark_is_not_part_of_the_first_label(tmp_path):
+    path = tmp_path / "bom.tsv"
+    path.write_bytes("a\tfirst line\nb\tsecond\n".encode("utf-8-sig"))
+    docs = load_split(path)
+    assert [d.label for d in docs] == ["a", "b"]
+    assert docs[0].text == "first line"
+
+
 def test_crlf_lines_are_accepted(tmp_path):
     path = tmp_path / "crlf.tsv"
     path.write_bytes(b"lab\tsome text\r\nlab2\tmore text\r\n")

@@ -18,7 +18,7 @@ from dprw.dpmech import (
     sample_laplace,
     verify_dp_bound,
 )
-from dprw.numcore import Rng
+from dprw.numcore import Rng, Tape
 
 # -- parameters ------------------------------------------------------------------
 
@@ -66,6 +66,18 @@ def test_clip_rejects_bad_inputs():
         clip_l1(np.ones(3), 0.0)
     with pytest.raises(ValueError):
         clip_l1(np.array([1.0, np.inf]), 1.0)
+
+
+def test_clip_l1_is_the_tape_row_clip_bit_for_bit():
+    rng = Rng(21)
+    rows = rng.derive("rows").normal(0.0, 1.0, (400, 33)) * rng.derive("mag").uniform(0.0, 3.0, (400, 1))
+    rows[::7, ::3] = -0.0  # signed zeros must survive untouched rows
+    tape = Tape()
+    clipped = tape.clip_rows_l1(tape.leaf(rows), 10.0).value
+    for row, tape_row in zip(rows, clipped):
+        norm = float(np.abs(row).sum())
+        expected = row.copy() if norm <= 10.0 else row * (10.0 / norm)
+        assert clip_l1(row, 10.0).tobytes() == tape_row.tobytes() == expected.tobytes()
 
 
 @settings(max_examples=100, deadline=None)

@@ -5,13 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dprw.numcore
 from dprw.numcore import (
     AdamState,
     NonFiniteError,
     Rng,
     Tape,
     adam_step,
+    clip_rows_l1,
     finite_difference_check,
+    gru_cell,
+    sigmoid,
 )
 
 # -- Rng -----------------------------------------------------------------------
@@ -87,7 +91,7 @@ def test_shape_mismatches_raise():
     with pytest.raises(ValueError):
         t.matmul(a, b)
     with pytest.raises(ValueError):
-        t.mul(a, b)
+        t.where_rows(np.array([True, False]), a, b)
     with pytest.raises(ValueError):
         t.add(a, b)
 
@@ -99,9 +103,9 @@ def test_non_finite_values_are_rejected():
 
 
 def test_sigmoid_is_stable_for_large_inputs():
-    t = Tape()
-    out = t.sigmoid(t.leaf(np.array([-1e9, 0.0, 1e9])))
-    np.testing.assert_allclose(out.value, [0.0, 0.5, 1.0])
+    with np.errstate(over="raise"):
+        out = sigmoid(np.array([-1e9, -1.0, 0.0, 1.0, 1e9]))
+    np.testing.assert_allclose(out, [0.0, 1.0 / (1.0 + np.e), 0.5, 1.0 / (1.0 + np.exp(-1.0)), 1.0])
 
 
 def test_where_rows_selects_per_row():
@@ -129,6 +133,18 @@ def test_concat_axis0_and_axis1():
     assert t.concat([a, b], axis=1).shape == (2, 4)
     with pytest.raises(ValueError):
         t.concat([a, b], axis=2)
+
+
+def test_clip_rows_l1_function_validates_and_reports_scale():
+    x = np.array([[0.5, -0.25], [4.0, 0.0]])
+    out, norms, scale = clip_rows_l1(x, 1.0)
+    np.testing.assert_array_equal(norms, [0.75, 4.0])
+    np.testing.assert_array_equal(scale, [1.0, 0.25])
+    np.testing.assert_array_equal(out, [[0.5, -0.25], [1.0, 0.0]])
+    with pytest.raises(ValueError):
+        clip_rows_l1(x, 0.0)
+    with pytest.raises(ValueError):
+        clip_rows_l1(x[0], 1.0)
 
 
 def test_clip_rows_l1_inside_rows_pass_through_bit_exact():
@@ -216,22 +232,82 @@ def test_gradcheck_dense_layer():
         "w": rng.derive("w").normal(0.0, 1.0, (4, 2)),
         "b": rng.derive("b").normal(0.0, 1.0, 2),
     }
+    targets = np.array([1, 0, -1])
     _gradcheck(
-        lambda t, lv: t.sum_all(t.tanh(t.add(t.matmul(lv["x"], lv["w"]), lv["b"]))), params
+        lambda t, lv: t.softmax_cross_entropy(
+            t.add(t.matmul(lv["x"], lv["w"]), lv["b"]), targets, ignore_id=-1
+        ),
+        params,
     )
 
 
-def test_gradcheck_gatey_composition():
-    rng = Rng(12)
-    params = {
-        "a": rng.derive("a").normal(0.0, 1.0, (3, 3)),
-        "b": rng.derive("b").normal(0.0, 1.0, (3, 3)),
+GRU_GATES = ("wz", "bz", "wr", "br", "wh", "bh")
+
+
+def gru_params(rng: Rng, e: int, h: int) -> dict:
+    return {
+        name: rng.derive(name).normal(0.0, 1.0, (e + h, h) if name.startswith("w") else h)
+        for name in GRU_GATES
     }
 
+
+def test_gru_step_forward_is_gru_cell():
+    rng = Rng(15)
+    w = gru_params(rng, 3, 4)
+    x = rng.derive("x").normal(0.0, 1.0, (2, 3))
+    h = rng.derive("h").normal(0.0, 1.0, (2, 4))
+    t = Tape()
+    out = t.gru_step(t.leaf(x), t.leaf(h), [t.leaf(w[k]) for k in GRU_GATES])
+    expected, _ = gru_cell(x, h, [w[k] for k in GRU_GATES])
+    assert out.value.tobytes() == expected.tobytes()
+    with pytest.raises(ValueError):
+        t.gru_step(t.leaf(x), t.leaf(h[:1]), [t.leaf(w[k]) for k in GRU_GATES])
+    with pytest.raises(ValueError):
+        t.gru_step(t.leaf(h), t.leaf(h), [t.leaf(w[k]) for k in GRU_GATES])
+
+
+def test_gru_step_gradients_are_computed_lazily_and_once(monkeypatch):
+    calls = []
+    real = dprw.numcore.gru_cell_vjp
+
+    def counting(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(dprw.numcore, "gru_cell_vjp", counting)
+    rng = Rng(16)
+    w = gru_params(rng, 2, 3)
+    t = Tape()
+    h = t.gru_step(
+        t.leaf(rng.derive("x").normal(0.0, 1.0, (2, 2))),
+        t.leaf(np.zeros((2, 3))),
+        [t.leaf(w[k]) for k in GRU_GATES],
+    )
+    loss = t.softmax_cross_entropy(h, np.array([0, 2]), ignore_id=-1)
+    assert calls == []  # a forward-only evaluation computes no gradients
+    t.backward(loss)
+    assert calls == [1]
+
+
+def test_gradcheck_gru_step_with_pad_rows():
+    # two encoder-style steps: row 1 is PAD at step 0 and row 2 at step 1,
+    # so where_rows freezes their state and h feeds both GRU steps
+    rng = Rng(12)
+    params = {
+        "table": rng.derive("table").normal(0.0, 1.0, (5, 3)),
+        "h0": rng.derive("h0").normal(0.0, 0.5, (3, 4)),
+        "out_w": rng.derive("out_w").normal(0.0, 1.0, (4, 5)),
+        **gru_params(rng, 3, 4),
+    }
+    ids = np.array([[1, 0, 4], [2, 3, 0]])
+    targets = np.array([4, 0, 2])
+
     def build(t, lv):
-        z = t.sigmoid(lv["a"])
-        mixed = t.add(t.mul(z, lv["b"]), t.mul(t.one_minus(z), t.tanh(lv["a"])))
-        return t.sum_all(t.scale(mixed, 0.5))
+        w = [lv[k] for k in GRU_GATES]
+        h = lv["h0"]
+        for step in ids:
+            h = t.where_rows(step != 0, t.gru_step(t.row_select(lv["table"], step), h, w), h)
+        return t.softmax_cross_entropy(t.matmul(h, lv["out_w"]), targets, ignore_id=-1)
 
     _gradcheck(build, params)
 
@@ -242,7 +318,7 @@ def test_gradcheck_clip_rows_both_regimes():
 
     def build(t, lv):
         clipped = t.clip_rows_l1(lv["x"], 1.0)
-        return t.sum_all(t.mul(clipped, clipped))
+        return t.softmax_cross_entropy(clipped, np.array([0, 2]), ignore_id=-1)
 
     _gradcheck(build, params)
 
@@ -267,7 +343,7 @@ def test_gradcheck_where_rows_and_row_select():
     def build(t, lv):
         rows = t.row_select(lv["table"], [0, 2, 1])
         kept = t.where_rows(mask, rows, lv["h"])
-        return t.sum_all(t.mul(kept, kept))
+        return t.softmax_cross_entropy(kept, np.array([2, 0, 1]), ignore_id=-1)
 
     _gradcheck(build, params)
 
@@ -279,14 +355,17 @@ def test_gradcheck_random_two_layer_models(seed):
     dims = [int(d) for d in rng.derive("dims").integers(2, 5, size=3)]
     params = {
         "x": rng.derive("x").normal(0.0, 1.0, (2, dims[0])),
-        "w1": rng.derive("w1").normal(0.0, 1.0, (dims[0], dims[1])),
+        "h": rng.derive("h").normal(0.0, 1.0, (2, dims[1])),
         "w2": rng.derive("w2").normal(0.0, 1.0, (dims[1], dims[2])),
-        "b": rng.derive("b").normal(0.0, 1.0, dims[1]),
+        "b": rng.derive("b").normal(0.0, 1.0, dims[2]),
+        **gru_params(rng.derive("gru"), dims[0], dims[1]),
     }
+    targets = np.array([0, dims[2] - 1])
 
     def build(t, lv):
-        hidden = t.tanh(t.add(t.matmul(lv["x"], lv["w1"]), lv["b"]))
-        return t.sum_all(t.sigmoid(t.matmul(hidden, lv["w2"])))
+        hidden = t.gru_step(lv["x"], lv["h"], [lv[k] for k in GRU_GATES])
+        logits = t.add(t.matmul(hidden, lv["w2"]), lv["b"])
+        return t.softmax_cross_entropy(logits, targets, ignore_id=-1)
 
     _gradcheck(build, params)
 
@@ -327,7 +406,7 @@ def test_adam_validates_keys_and_shapes():
 def test_finite_difference_check_reports_worst_parameter():
     params = {"x": np.array([[1.0, 2.0]])}
     report = finite_difference_check(
-        lambda t, lv: t.sum_all(t.mul(lv["x"], lv["x"])), params
+        lambda t, lv: t.softmax_cross_entropy(lv["x"], np.array([1]), ignore_id=-1), params
     )
     assert report.ok
     assert report.worst_param in ("", "x")

@@ -130,11 +130,27 @@ def test_rewrite_non_private_keeps_label_and_is_noiseless(corpora, monkeypatch):
     def boom(*a, **k):
         raise AssertionError("sampler must not run at epsilon=inf")
 
-    monkeypatch.setattr(dprw.pipeline, "sample_laplace", boom)
+    monkeypatch.setattr(dprw.dpmech, "sample_laplace", boom)
     out = rewrite_documents(
         model, docs, PrivacyParams(epsilon=math.inf, clip_c=5.0), seed=1, split_name="train"
     )
     assert len(out) == len(docs)
+
+
+def test_rewrite_runs_privatize_once_per_document_on_its_own_stream(corpora, monkeypatch):
+    model = Autoencoder.from_checkpoint(dprw.autoencoder.load_checkpoint(corpora["checkpoint"]))
+    docs = corpora["datasets"]["flights"].train[:5]
+    privacy = PrivacyParams(epsilon=10.0, clip_c=TINY_AE.clip_c)
+    calls = []
+    real = dprw.dpmech.privatize
+
+    def spy(latent, params, rng):
+        calls.append(rng.path)
+        return real(latent, params, rng)
+
+    monkeypatch.setattr(dprw.pipeline, "privatize", spy)
+    rewrite_documents(model, docs, privacy, seed=3, split_name="train")
+    assert calls == [("rewrite", "train", i) for i in range(len(docs))]
 
 
 def test_rewrite_empty_decode_becomes_unk_placeholder(corpora):
@@ -166,7 +182,6 @@ def test_pretrain_never_draws_privacy_noise(corpora, tmp_path, monkeypatch):
         raise AssertionError("pretrain must not sample Laplace noise")
 
     monkeypatch.setattr(dprw.dpmech, "sample_laplace", boom)
-    monkeypatch.setattr(dprw.pipeline, "sample_laplace", boom)
     run_pretrain(
         ExperimentConfig(
             mode="pretrain",
@@ -195,6 +210,25 @@ def test_rewrite_never_updates_parameters(corpora, tmp_path, monkeypatch):
             seeds=[1],
         )
     )
+
+
+def test_rewrite_records_the_checkpoint_autoencoder_config(corpora, tmp_path):
+    ckpt = dprw.autoencoder.load_checkpoint(corpora["checkpoint"])
+    out = tmp_path / "out"
+    report = run_rewrite(
+        ExperimentConfig(
+            mode="rewrite",
+            out_dir=str(out),
+            train_path=str(corpora["dirs"]["flights"] / "train.tsv"),
+            checkpoint_in=corpora["checkpoint"],
+            privacy=PrivacyParams(epsilon=100.0, clip_c=5.0),
+            seeds=[1],
+        )
+    )
+    assert ckpt.config != AutoencoderConfig()
+    resolved = json.loads((out / "config_resolved.json").read_text())
+    assert resolved["autoencoder"] == ckpt.config.to_dict()
+    assert report["config"]["autoencoder"] == ckpt.config.to_dict()
 
 
 # -- split purity --------------------------------------------------------------------
