@@ -191,13 +191,6 @@ class Autoencoder:
             h = np.where(real, h_new, h)
         return h
 
-    def encode_latent(self, ids) -> Array:
-        """Latent (final hidden state) for a single id sequence, unclipped."""
-        ids = np.asarray(ids)
-        if ids.ndim != 1 or ids.size == 0:
-            raise ValueError("ids must be a non-empty 1-D sequence")
-        return self.encode_batch(ids[None, :])[0]
-
     def decode_greedy_batch(self, latents: Array, max_len: int | None = None) -> list[list[int]]:
         """Greedy decode each latent: SOS start, argmax steps, stop at EOS.
 
@@ -234,12 +227,6 @@ class Autoencoder:
             content = [int(t) for t in grid[i, :end]][:limit]
             out.append([SOS_ID] + content + [EOS_ID])
         return out
-
-    def decode_greedy(self, latent: Array, max_len: int | None = None) -> list[int]:
-        latent = np.asarray(latent)
-        if latent.shape != (self.config.hidden_dim,):
-            raise ValueError("latent must be a hidden_dim vector")
-        return self.decode_greedy_batch(latent[None, :], max_len=max_len)[0]
 
     # -- training -----------------------------------------------------------
 
@@ -345,6 +332,8 @@ def save_checkpoint(ckpt: AutoencoderCheckpoint, path: str | Path) -> None:
     for name, shape in shapes.items():
         if name not in ckpt.parameters or ckpt.parameters[name].shape != shape:
             raise CheckpointShapeError(f"parameter {name!r} missing or wrong shape")
+        if not np.all(np.isfinite(ckpt.parameters[name])):
+            raise CheckpointCorruptError(f"parameter {name!r} holds non-finite values")
     if len(ckpt.vocabulary) != ckpt.config.vocab_size:
         raise CheckpointShapeError(
             f"vocabulary size {len(ckpt.vocabulary)} != config vocab_size {ckpt.config.vocab_size}"

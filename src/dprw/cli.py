@@ -65,18 +65,22 @@ def parse_epsilon(value) -> float:
 # -- flag definitions ----------------------------------------------------------
 
 
-def _add_common(sub: argparse.ArgumentParser, default_out: str) -> None:
+def _add_common(sub: argparse.ArgumentParser, default_out: str, jobs: bool = True) -> None:
+    """Flags every subcommand shares; call it last, since it records the
+    config-file keys the subcommand accepts: its flags' dests."""
     sub.add_argument("--config", help="JSON config file; flags override its values")
     sub.add_argument("--out-dir", dest="out_dir", help=f"report directory (default {default_out})")
     sub.add_argument(
         "--seed",
         action="append",
         type=int,
-        help="experiment seed; repeat for multi-seed runs "
+        help="experiment seed; repeat for multi-seed runs, except on validate-dp "
         f"(default DPRW_SEED or {list(DEFAULT_SEEDS)})",
     )
-    sub.add_argument("--jobs", type=int, help="parallel worker processes (default 1)")
-    sub.set_defaults(default_out=default_out)
+    if jobs:
+        sub.add_argument("--jobs", type=int, help="parallel worker processes (default 1)")
+    config_keys = {action.dest for action in sub._actions} - {"help", "config"}
+    sub.set_defaults(default_out=default_out, config_keys=frozenset(config_keys))
 
 
 def _add_autoencoder_flags(sub: argparse.ArgumentParser) -> None:
@@ -136,33 +140,14 @@ def build_parser() -> _Parser:
     p.add_argument("--dim", type=int, help="latent dimension (default 128)")
     p.add_argument("--trials", type=int, help="number of random triples (default 100000)")
     p.add_argument("--noise-scale", dest="noise_scale", type=float, help=argparse.SUPPRESS)
-    _add_common(p, ".")
+    _add_common(p, ".", jobs=False)
 
     return parser
 
 
 # -- config resolution ---------------------------------------------------------
 
-_CONFIG_KEYS = {
-    "pretrain": {
-        "train", "out", "epochs", "lr", "clip", "max_len", "embed_dim",
-        "hidden_dim", "batch_size", "out_dir", "seed", "jobs",
-    },
-    "rewrite": {"checkpoint", "train", "val", "epsilon", "clip", "out_dir", "seed", "jobs"},
-    "downstream": {
-        "train", "val", "test", "clf_epochs", "clf_lr", "clf_embed_dim",
-        "out_dir", "seed", "jobs",
-    },
-    "case-study": {
-        "dataset_a", "dataset_b", "leak_margin", "epochs", "lr", "clip",
-        "max_len", "embed_dim", "hidden_dim", "batch_size", "clf_epochs",
-        "clf_lr", "clf_embed_dim", "out_dir", "seed", "jobs",
-    },
-    "validate-dp": {"epsilon", "clip", "dim", "trials", "noise_scale", "out_dir", "seed", "jobs"},
-}
-
-
-def _load_config_file(path: str | None, command: str) -> dict:
+def _load_config_file(path: str | None, command: str, keys: frozenset[str]) -> dict:
     if path is None:
         return {}
     try:
@@ -173,7 +158,7 @@ def _load_config_file(path: str | None, command: str) -> dict:
         raise CliError(f"config file is not valid JSON: {exc}") from None
     if not isinstance(data, dict):
         raise CliError("config file must hold a JSON object")
-    unknown = sorted(set(data) - _CONFIG_KEYS[command])
+    unknown = sorted(set(data) - keys)
     if unknown:
         raise CliError(f"unknown config keys for {command}: {', '.join(unknown)}")
     return data
@@ -344,6 +329,8 @@ def _run_validate_dp(ns: argparse.Namespace, opts: _Options) -> int:
         raise CliError("trials must be positive")
     noise_scale = _float_option(opts, "noise_scale")
     seeds = opts.seeds()
+    if seeds and len(seeds) > 1:
+        raise CliError(f"validate-dp takes one seed, got {len(seeds)}: {seeds}")
     seed = seeds[0] if seeds else DEFAULT_SEEDS[0]
     try:
         params = PrivacyParams(epsilon=epsilon, clip_c=clip)
@@ -401,7 +388,7 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_OK
 
     try:
-        opts = _Options(ns, _load_config_file(ns.config, ns.command))
+        opts = _Options(ns, _load_config_file(ns.config, ns.command, ns.config_keys))
         if ns.command == "validate-dp":
             return _run_validate_dp(ns, opts)
         config = _experiment_config(ns, opts)

@@ -9,7 +9,7 @@ deterministic, and has an exactly order-invariant pooling stage.
 from __future__ import annotations
 
 import warnings
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,9 +41,6 @@ class ClassifierConfig:
             raise ValueError("epochs must be non-negative")
         if not self.learning_rate > 0:
             raise ValueError("learning_rate must be positive")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 @dataclass

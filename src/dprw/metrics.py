@@ -114,16 +114,6 @@ class LeakReport:
             return 0.0
         return sum(self.flagged) / len(self.flagged)
 
-    def to_dict(self) -> dict:
-        return {
-            "margin": self.margin,
-            "leak_score": self.leak_score,
-            "similarity_to_source": self.similarity_to_source,
-            "max_similarity_to_pretrain": self.max_similarity_to_pretrain,
-            "nearest_pretrain_index": self.nearest_pretrain_index,
-            "flagged": self.flagged,
-        }
-
 
 def leak_audit(
     rewritten: Sequence[Document],

@@ -5,7 +5,9 @@ Every run function takes one ExperimentConfig, writes `report.json`,
 returns the report dict. Reports contain no timestamps or durations, so
 repeating an invocation with the same seeds produces byte-identical
 output. Seeds and matrix cells are independent work units; `jobs` > 1
-fans them out over processes without changing any result.
+fans them out over processes without changing any result. The case
+study is composed of the same pretrain, rewrite and downstream units the
+single-stage modes run.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import json
 import math
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -125,24 +127,13 @@ class ExperimentConfig:
             raise ValueError("case_study mode requires two dataset directories")
 
     def to_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "out_dir": self.out_dir,
-            "train_path": self.train_path,
-            "validation_path": self.validation_path,
-            "test_path": self.test_path,
-            "dataset_a": self.dataset_a,
-            "dataset_b": self.dataset_b,
-            "checkpoint_in": self.checkpoint_in,
-            "checkpoint_out": self.checkpoint_out,
-            "epsilon": None if self.privacy is None else epsilon_repr(self.privacy.epsilon),
-            "clip_c": None if self.privacy is None else self.privacy.clip_c,
-            "autoencoder": self.autoencoder.to_dict(),
-            "classifier": self.classifier.to_dict(),
-            "seeds": list(self.seeds),
-            "jobs": self.jobs,
-            "leak_margin": self.leak_margin,
-        }
+        """Every field, with the privacy parameters flattened into
+        ``epsilon`` (as ``epsilon_repr``) and ``clip_c``."""
+        out = asdict(self)
+        del out["privacy"]
+        out["epsilon"] = None if self.privacy is None else epsilon_repr(self.privacy.epsilon)
+        out["clip_c"] = None if self.privacy is None else self.privacy.clip_c
+        return out
 
 
 def aggregate_seed_stats(values: list[float]) -> dict:
@@ -224,14 +215,28 @@ def _reconstruction_bleu(ckpt: AutoencoderCheckpoint, docs: list[Document]) -> f
 # -- report writing -----------------------------------------------------------
 
 
-def _write_outputs(config: ExperimentConfig, report: dict, summary: str) -> None:
+def _write_outputs(config: ExperimentConfig, report: dict, summary: str) -> dict:
+    """Stamp the mode and resolved config into the report, write the three
+    output files, and return the stamped report."""
+    resolved = config.to_dict()
+    report = {"mode": config.mode, "config": resolved, **report}
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "report.json").write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     (out / "summary.txt").write_text(summary)
     (out / "config_resolved.json").write_text(
-        json.dumps(config.to_dict(), indent=2, sort_keys=True) + "\n"
+        json.dumps(resolved, indent=2, sort_keys=True) + "\n"
     )
+    return report
+
+
+def _write_rewritten(directory: Path, train: list[Document], validation: list[Document]) -> None:
+    """Rewritten-TSV layout: train.tsv, plus validation.tsv when that split
+    is non-empty. The test split is never rewritten."""
+    directory.mkdir(parents=True, exist_ok=True)
+    write_split(train, directory / "train.tsv")
+    if validation:
+        write_split(validation, directory / "validation.tsv")
 
 
 def _load_splits(config: ExperimentConfig) -> LabeledDataset:
@@ -263,47 +268,53 @@ def run_pretrain(config: ExperimentConfig) -> dict:
     Path(ckpt_path).parent.mkdir(parents=True, exist_ok=True)
     save_checkpoint(canonical, ckpt_path)
 
+    loss_stats = _stats_block({s: (v if v is not None else float("nan")) for s, v in losses.items()})
+    bleu_stats = _stats_block(bleus)
     report = {
-        "mode": "pretrain",
-        "config": config.to_dict(),
-        "metrics": {
-            "final_loss": _stats_block({s: (v if v is not None else float("nan")) for s, v in losses.items()}),
-            "reconstruction_bleu": _stats_block(bleus),
-        },
+        "metrics": {"final_loss": loss_stats, "reconstruction_bleu": bleu_stats},
         "provenance": {
             "checkpoint": ckpt_path,
             "canonical_seed": config.seeds[0],
             "train_path": config.train_path,
         },
     }
-    loss_stats = report["metrics"]["final_loss"]
-    bleu_stats = report["metrics"]["reconstruction_bleu"]
     summary = (
         "mode: pretrain\n"
         f"checkpoint: {ckpt_path}\n"
         f"final loss:          {loss_stats['mean']:.4f} ({loss_stats['std']:.4f})\n"
         f"reconstruction BLEU: {bleu_stats['mean']:.4f} ({bleu_stats['std']:.4f})\n"
     )
-    _write_outputs(config, report, summary)
-    return report
+    return _write_outputs(config, report, summary)
 
 
 # -- rewrite mode -------------------------------------------------------------
 
 
-def _rewrite_unit(payload):
-    ckpt, dataset, privacy, seed = payload
-    model = Autoencoder.from_checkpoint(ckpt)
+def _rewrite_splits(
+    model: Autoencoder, dataset: LabeledDataset, privacy: PrivacyParams, seed: int
+) -> tuple[list[Document], list[Document]]:
+    """Rewrite the train and validation splits; never the test split."""
     train_rw = rewrite_documents(model, dataset.train, privacy, seed, "train")
     val_rw = rewrite_documents(model, dataset.validation, privacy, seed, "validation")
-    return seed, train_rw, val_rw
+    return train_rw, val_rw
+
+
+def _rewrite_unit(payload):
+    ckpt, dataset, privacy, seed = payload
+    return (seed, *_rewrite_splits(Autoencoder.from_checkpoint(ckpt), dataset, privacy, seed))
 
 
 def run_rewrite(config: ExperimentConfig) -> dict:
     """Rewrite train and validation per seed; the test split is never
     rewritten. Canonical TSVs come from the first seed. The recorded
-    autoencoder config is the checkpoint's, not the defaults."""
+    autoencoder config is the checkpoint's, not the defaults, and the clip
+    radius must be the one the checkpoint was pre-trained at."""
     ckpt = load_checkpoint(config.checkpoint_in)
+    if config.privacy.clip_c != ckpt.config.clip_c:
+        raise ValueError(
+            f"clip radius {config.privacy.clip_c} differs from the checkpoint's "
+            f"clip_c {ckpt.config.clip_c}; rewrite at the radius it was pre-trained at"
+        )
     config = replace(config, autoencoder=ckpt.config)
     dataset = _load_splits(config)
     results = _map_units(
@@ -318,15 +329,9 @@ def run_rewrite(config: ExperimentConfig) -> dict:
         per_seed_metrics["bleu_validation"] = _stats_block(bleu_val)
 
     rewritten_dir = Path(config.out_dir) / "rewritten"
-    rewritten_dir.mkdir(parents=True, exist_ok=True)
-    _, canonical_train, canonical_val = results[0]
-    write_split(canonical_train, rewritten_dir / "train.tsv")
-    if dataset.validation:
-        write_split(canonical_val, rewritten_dir / "validation.tsv")
+    _write_rewritten(rewritten_dir, *results[0][1:])
 
     report = {
-        "mode": "rewrite",
-        "config": config.to_dict(),
         "metrics": per_seed_metrics,
         "provenance": {
             "checkpoint": config.checkpoint_in,
@@ -339,19 +344,19 @@ def run_rewrite(config: ExperimentConfig) -> dict:
     lines = ["mode: rewrite", f"epsilon: {epsilon_repr(config.privacy.epsilon)}"]
     for name, stats in per_seed_metrics.items():
         lines.append(f"{name}: {stats['mean']:.4f} ({stats['std']:.4f})")
-    _write_outputs(config, report, "\n".join(lines) + "\n")
-    return report
+    return _write_outputs(config, report, "\n".join(lines) + "\n")
 
 
 # -- downstream mode ------------------------------------------------------------
 
 
 def _downstream_unit(payload) -> tuple[int, float]:
-    train, validation, test, label_set, clf_config, seed = payload
-    vocab = build_vocabulary(train)
-    model = train_classifier(train, validation, vocab, clf_config, seed)
-    preds = predict_batch(model, test, vocab)
-    return seed, macro_f1(preds, [d.label for d in test], label_set)
+    """Train on the dataset's train/validation splits; macro-F1 on its test split."""
+    dataset, clf_config, seed = payload
+    vocab = build_vocabulary(dataset.train)
+    model = train_classifier(dataset.train, dataset.validation, vocab, clf_config, seed)
+    preds = predict_batch(model, dataset.test, vocab)
+    return seed, macro_f1(preds, [d.label for d in dataset.test], dataset.label_set)
 
 
 def run_downstream(config: ExperimentConfig) -> dict:
@@ -367,20 +372,13 @@ def run_downstream(config: ExperimentConfig) -> dict:
             f"labels absent from the training split are always scored wrong: {missing}"
         )
     results = _map_units(
-        config.jobs,
-        _downstream_unit,
-        [
-            (dataset.train, dataset.validation, dataset.test, dataset.label_set, config.classifier, seed)
-            for seed in config.seeds
-        ],
+        config.jobs, _downstream_unit, [(dataset, config.classifier, seed) for seed in config.seeds]
     )
     f1 = _stats_block(dict(results))
     rand = _random_baseline_block(dataset, config.seeds)
     majority = majority_baseline(dataset.train, dataset.test)
 
     report = {
-        "mode": "downstream",
-        "config": config.to_dict(),
         "metrics": {
             "test_macro_f1": f1,
             "random_baseline": rand,
@@ -398,8 +396,7 @@ def run_downstream(config: ExperimentConfig) -> dict:
         f"random baseline:   {rand['mean']:.4f} ({rand['std']:.4f})\n"
         f"majority baseline: {majority:.4f}\n"
     )
-    _write_outputs(config, report, summary)
-    return report
+    return _write_outputs(config, report, summary)
 
 
 # -- case-study mode ------------------------------------------------------------
@@ -418,30 +415,28 @@ def _load_dataset_dir(path: str) -> tuple[str, LabeledDataset]:
 
 
 def _case_unit(payload) -> dict:
-    """One (pretrain corpus, seed) cell: pre-train once, then rewrite,
-    audit, and run downstream for both corpora at every epsilon."""
+    """One (pretrain corpus, seed) cell: the pretrain unit once, then the
+    rewrite splits, a leak audit and the downstream unit for both corpora
+    at every epsilon."""
     pretrain_name, datasets, ae_config, clf_config, leak_margin, seed, keep_docs = payload
-    ckpt = pretrain(datasets[pretrain_name], ae_config, seed)
-    model = Autoencoder.from_checkpoint(ckpt)
     pretrain_docs = datasets[pretrain_name].train
+    _, ckpt, recon = _pretrain_unit((datasets[pretrain_name], ae_config, seed))
+    model = Autoencoder.from_checkpoint(ckpt)
     out = {
         "pretrain": pretrain_name,
         "seed": seed,
         "final_loss": ckpt.metadata["final_loss"],
-        "reconstruction_bleu": _reconstruction_bleu(ckpt, pretrain_docs),
+        "reconstruction_bleu": recon,
         "settings": {},
         "rewritten_docs": {},
     }
     for rewrite_name, target in datasets.items():
         for eps in EPSILON_LADDER:
             privacy = PrivacyParams(epsilon=eps, clip_c=ae_config.clip_c)
-            train_rw = rewrite_documents(model, target.train, privacy, seed, "train")
-            val_rw = rewrite_documents(model, target.validation, privacy, seed, "validation")
+            train_rw, val_rw = _rewrite_splits(model, target, privacy, seed)
             audit = leak_audit(train_rw, target.train, pretrain_docs, margin=leak_margin)
-            vocab = build_vocabulary(train_rw)
-            clf = train_classifier(train_rw, val_rw, vocab, clf_config, seed)
-            preds = predict_batch(clf, target.test, vocab)
-            f1 = macro_f1(preds, [d.label for d in target.test], target.label_set)
+            rewritten = replace(target, train=train_rw, validation=val_rw)
+            _, f1 = _downstream_unit((rewritten, clf_config, seed))
             key = (rewrite_name, epsilon_repr(eps))
             out["settings"][key] = {
                 "macro_f1": f1,
@@ -451,14 +446,6 @@ def _case_unit(payload) -> dict:
             if keep_docs:
                 out["rewritten_docs"][key] = (train_rw, val_rw)
     return out
-
-
-def _original_unit(payload) -> tuple[str, int, float]:
-    name, dataset, clf_config, seed = payload
-    _, f1 = _downstream_unit(
-        (dataset.train, dataset.validation, dataset.test, dataset.label_set, clf_config, seed)
-    )
-    return name, seed, f1
 
 
 def run_case_study(config: ExperimentConfig) -> dict:
@@ -478,10 +465,11 @@ def run_case_study(config: ExperimentConfig) -> dict:
     ]
     cell_results = _map_units(config.jobs, _case_unit, units)
 
+    # one result per (dataset, seed), dataset-major
     originals = _map_units(
         config.jobs,
-        _original_unit,
-        [(name, datasets[name], config.classifier, seed) for name in datasets for seed in config.seeds],
+        _downstream_unit,
+        [(dataset, config.classifier, seed) for dataset in datasets.values() for seed in config.seeds],
     )
 
     # keyed merge so assembly order is independent of execution order
@@ -496,28 +484,20 @@ def run_case_study(config: ExperimentConfig) -> dict:
                     seed: by_cell[(pretrain_name, seed)]["settings"][(rewrite_name, eps_key)]
                     for seed in config.seeds
                 }
-                row = {
-                    "pretrain": pretrain_name,
-                    "rewrite": rewrite_name,
-                    "epsilon": eps_key,
-                    "macro_f1": _stats_block({s: v["macro_f1"] for s, v in per_seed.items()}),
-                    "leak_score": _stats_block({s: v["leak_score"] for s, v in per_seed.items()}),
-                    "bleu_vs_source": _stats_block({s: v["bleu_vs_source"] for s, v in per_seed.items()}),
-                }
+                row = {"pretrain": pretrain_name, "rewrite": rewrite_name, "epsilon": eps_key}
+                for metric in ("macro_f1", "leak_score", "bleu_vs_source"):
+                    row[metric] = _stats_block({s: v[metric] for s, v in per_seed.items()})
                 settings_rows.append(row)
-                train_rw, val_rw = by_cell[(pretrain_name, canonical_seed)]["rewritten_docs"][
-                    (rewrite_name, eps_key)
-                ]
-                setting_dir = rewritten_root / f"{pretrain_name}__{rewrite_name}__eps{eps_key}"
-                setting_dir.mkdir(parents=True, exist_ok=True)
-                write_split(train_rw, setting_dir / "train.tsv")
-                if val_rw:
-                    write_split(val_rw, setting_dir / "validation.tsv")
+                _write_rewritten(
+                    rewritten_root / f"{pretrain_name}__{rewrite_name}__eps{eps_key}",
+                    *by_cell[(pretrain_name, canonical_seed)]["rewritten_docs"][(rewrite_name, eps_key)],
+                )
 
-    original_rows = []
-    for name in datasets:
-        per_seed = {seed: f1 for nm, seed, f1 in originals if nm == name}
-        original_rows.append({"dataset": name, "macro_f1": _stats_block(per_seed)})
+    n_seeds = len(config.seeds)
+    original_rows = [
+        {"dataset": name, "macro_f1": _stats_block(dict(originals[i * n_seeds : (i + 1) * n_seeds]))}
+        for i, name in enumerate(datasets)
+    ]
 
     baselines = {}
     for name, dataset in datasets.items():
@@ -527,20 +507,15 @@ def run_case_study(config: ExperimentConfig) -> dict:
             "majority": majority_baseline(dataset.train, dataset.test),
         }
 
-    pretrain_metrics = {}
-    for name in datasets:
-        pretrain_metrics[name] = {
-            "final_loss": _stats_block(
-                {s: by_cell[(name, s)]["final_loss"] for s in config.seeds}
-            ),
-            "reconstruction_bleu": _stats_block(
-                {s: by_cell[(name, s)]["reconstruction_bleu"] for s in config.seeds}
-            ),
+    pretrain_metrics = {
+        name: {
+            metric: _stats_block({s: by_cell[(name, s)][metric] for s in config.seeds})
+            for metric in ("final_loss", "reconstruction_bleu")
         }
+        for name in datasets
+    }
 
     report = {
-        "mode": "case_study",
-        "config": config.to_dict(),
         "settings": settings_rows,
         "originals": original_rows,
         "baselines": baselines,
@@ -552,8 +527,7 @@ def run_case_study(config: ExperimentConfig) -> dict:
             "test_split_rewritten": False,
         },
     }
-    _write_outputs(config, report, _case_study_summary(report))
-    return report
+    return _write_outputs(config, report, _case_study_summary(report))
 
 
 def _case_study_summary(report: dict) -> str:

@@ -109,16 +109,6 @@ def test_pad_rows_freeze_the_encoder_state():
     np.testing.assert_array_equal(bare, padded)
 
 
-def test_encode_latent_matches_batch_row():
-    model = tiny_model()
-    ids = encode(DOCS[1], model.vocabulary, model.config.max_len)
-    np.testing.assert_array_equal(
-        model.encode_latent(np.array(ids)), model.encode_batch(np.array([ids]))[0]
-    )
-    with pytest.raises(ValueError):
-        model.encode_latent(np.array([], dtype=np.int64))
-
-
 def test_tape_and_numpy_gru_agree():
     model = tiny_model()
     batch = doc_batch(model)
@@ -153,13 +143,6 @@ def test_decode_is_deterministic():
     model = tiny_model()
     latents = model.encode_batch(doc_batch(model))
     assert model.decode_greedy_batch(latents) == model.decode_greedy_batch(latents)
-
-
-def test_decode_single_matches_batch():
-    model = tiny_model()
-    latents = model.encode_batch(doc_batch(model))
-    batch_out = model.decode_greedy_batch(latents)
-    assert model.decode_greedy(latents[0]) == batch_out[0]
 
 
 def test_decode_rejects_bad_latent_shape():
@@ -308,13 +291,30 @@ def test_checkpoint_rejects_trailing_garbage(tmp_path):
 
 
 def test_checkpoint_rejects_non_finite_parameters(tmp_path):
+    # save refuses such a checkpoint, so patch the bytes of a valid file:
+    # a marker value in dec_bh becomes nan or inf on disk
+    marker = 1234.5678
+    ckpt = tiny_model().to_checkpoint()
+    ckpt.parameters["dec_bh"][1] = marker
+    path = tmp_path / "nonfinite.bin"
+    save_checkpoint(ckpt, path)
+    raw = path.read_bytes()
+    needle = np.float64(marker).astype("<f8").tobytes()
+    assert raw.count(needle) == 1
     for bad in (np.nan, np.inf):
-        ckpt = tiny_model().to_checkpoint()
-        ckpt.parameters["dec_bh"][1] = bad
-        path = tmp_path / "nonfinite.bin"
-        save_checkpoint(ckpt, path)
+        path.write_bytes(raw.replace(needle, np.float64(bad).astype("<f8").tobytes()))
         with pytest.raises(CheckpointCorruptError, match="'dec_bh'"):
             load_checkpoint(path)
+
+
+def test_save_refuses_non_finite_parameters_and_writes_nothing(tmp_path):
+    for bad in (np.nan, -np.inf):
+        ckpt = tiny_model().to_checkpoint()
+        ckpt.parameters["enc_wz"][0, 2] = bad
+        path = tmp_path / "diverged.bin"
+        with pytest.raises(CheckpointCorruptError, match="'enc_wz'"):
+            save_checkpoint(ckpt, path)
+        assert not path.exists()
 
 
 def test_checkpoint_rejects_shape_drift(tmp_path):

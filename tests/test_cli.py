@@ -1,10 +1,21 @@
 """Command-line contract: exit codes, config files, env seed, outputs."""
 
+import argparse
 import json
 
 import pytest
 
-from dprw.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, CliError, main, parse_epsilon
+from dprw.cli import (
+    EXIT_CONFIG,
+    EXIT_OK,
+    EXIT_RUNTIME,
+    CliError,
+    _load_config_file,
+    _Options,
+    build_parser,
+    main,
+    parse_epsilon,
+)
 from dprw.corpus import write_split
 from dprw.synth import FLIGHTS, make_corpus
 
@@ -150,6 +161,30 @@ def test_validate_dp_detects_miscalibrated_scale(tmp_path, capsys):
     assert abs(report["max_abs_log_ratio"] - 20.0) <= 1.0
 
 
+def test_validate_dp_offers_no_jobs_option(tmp_path, capsys):
+    # the audit runs in one process; a --jobs value would be ignored
+    assert main(["validate-dp", "--epsilon", "1", "--jobs", "2"]) == EXIT_CONFIG
+    assert "unrecognized arguments: --jobs" in capsys.readouterr().err
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"epsilon": 1, "jobs": 2}))
+    assert main(["validate-dp", "--config", str(cfg)]) == EXIT_CONFIG
+    assert "unknown config keys for validate-dp: jobs" in capsys.readouterr().err
+
+
+def test_validate_dp_refuses_more_than_one_seed(tmp_path, capsys):
+    out = tmp_path / "v"
+    argv = ["validate-dp", "--epsilon", "1", "--dim", "4", "--trials", "10", "--out-dir", str(out)]
+    assert main([*argv, "--seed", "1", "--seed", "2"]) == EXIT_CONFIG
+    assert "one seed, got 2" in capsys.readouterr().err
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": [3, 4, 5]}))
+    assert main([*argv, "--config", str(cfg)]) == EXIT_CONFIG
+    assert "one seed, got 3" in capsys.readouterr().err
+    assert not out.exists()
+    assert main([*argv, "--seed", "7"]) == EXIT_OK
+    assert json.loads((out / "config_resolved.json").read_text())["seed"] == 7
+
+
 # -- config file and environment --------------------------------------------------------
 
 
@@ -183,6 +218,25 @@ def test_config_file_unknown_key_exits_1(tmp_path, capsys):
     cfg.write_text(json.dumps({"train": "t.tsv", "no_such_option": 1}))
     assert main(["pretrain", "--config", str(cfg)]) == EXIT_CONFIG
     assert "no_such_option" in capsys.readouterr().err
+
+
+def test_every_flag_dest_loads_from_config_and_config_help_are_refused(tmp_path, capsys):
+    parser = build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert set(commands.choices) == {"pretrain", "rewrite", "downstream", "case-study", "validate-dp"}
+    for command, sub in commands.choices.items():
+        dests = {a.dest for a in sub._actions} - {"help", "config"}
+        assert {"out_dir", "seed"} <= dests
+        cfg = tmp_path / f"{command}.json"
+        cfg.write_text(json.dumps({dest: f"file-{dest}" for dest in dests}))
+        ns = parser.parse_args([command, "--config", str(cfg)])
+        opts = _Options(ns, _load_config_file(ns.config, command, ns.config_keys))
+        for dest in dests:
+            assert opts.get(dest) == f"file-{dest}", (command, dest)
+        for key in ("config", "help"):
+            cfg.write_text(json.dumps({key: "x"}))
+            assert main([command, "--config", str(cfg)]) == EXIT_CONFIG
+            assert f"unknown config keys for {command}: {key}" in capsys.readouterr().err
 
 
 def test_config_file_invalid_json_exits_1(tmp_path, capsys):
@@ -252,6 +306,24 @@ def test_full_chain_pretrain_rewrite_downstream(workspace, tmp_path):
     assert "test_macro_f1" in report["metrics"]
     assert (down / "summary.txt").exists()
     assert (down / "config_resolved.json").exists()
+
+
+def test_rewrite_refuses_a_clip_other_than_the_checkpoints(workspace, tmp_path, capsys):
+    ckpt = tmp_path / "clip2.bin"
+    assert main(
+        ["pretrain", "--train", str(workspace / "train.tsv"), "--out", str(ckpt),
+         "--out-dir", str(tmp_path / "pre"), "--seed", "1", "--clip", "2", *FAST_AE]
+    ) == EXIT_OK
+    argv = ["rewrite", "--checkpoint", str(ckpt), "--train", str(workspace / "train.tsv"),
+            "--epsilon", "10", "--seed", "1"]
+    out = tmp_path / "default_clip"
+    assert main([*argv, "--out-dir", str(out)]) == EXIT_RUNTIME  # default --clip is 5
+    err = capsys.readouterr().err
+    assert "clip radius 5.0" in err and "clip_c 2.0" in err
+    assert not out.exists()
+    out = tmp_path / "matching_clip"
+    assert main([*argv, "--clip", "2", "--out-dir", str(out)]) == EXIT_OK
+    assert json.loads((out / "config_resolved.json").read_text())["clip_c"] == 2.0
 
 
 def test_cli_rerun_is_byte_identical(workspace, tmp_path):

@@ -1,5 +1,6 @@
 """Experiment orchestration: mode isolation, purity, determinism, reports."""
 
+import dataclasses
 import json
 import math
 
@@ -89,6 +90,26 @@ def test_config_validates_mode_and_mode_specific_fields(tmp_path):
         ExperimentConfig(mode="pretrain", out_dir=str(tmp_path), train_path="t", seeds=[1, 1])
     with pytest.raises(ValueError, match="jobs"):
         ExperimentConfig(mode="pretrain", out_dir=str(tmp_path), train_path="t", jobs=0)
+
+
+def test_config_to_dict_lists_every_field_with_privacy_flattened(tmp_path):
+    config = ExperimentConfig(
+        mode="rewrite",
+        out_dir=str(tmp_path),
+        train_path="t.tsv",
+        checkpoint_in="c.bin",
+        privacy=PrivacyParams(epsilon=math.inf, clip_c=2.0),
+        classifier=TINY_CLF,
+    )
+    resolved = config.to_dict()
+    names = {f.name for f in dataclasses.fields(ExperimentConfig)} - {"privacy"}
+    assert set(resolved) == names | {"epsilon", "clip_c"}
+    assert (resolved["epsilon"], resolved["clip_c"]) == ("inf", 2.0)
+    assert resolved["classifier"] == {"embed_dim": 64, "learning_rate": 0.01, "epochs": 4, "batch_size": 32}
+    assert resolved["autoencoder"] == AutoencoderConfig().to_dict()
+    assert resolved["seeds"] == [1, 2, 3, 4, 5]
+    no_privacy = ExperimentConfig(mode="pretrain", out_dir=str(tmp_path), train_path="t.tsv").to_dict()
+    assert (no_privacy["epsilon"], no_privacy["clip_c"]) == (None, None)
 
 
 def test_epsilon_repr_forms():
@@ -333,23 +354,48 @@ def test_reruns_are_byte_identical_including_checkpoints(corpora, tmp_path):
     assert set(snapshot) == {"report.json", "summary.txt", "config_resolved.json", "checkpoint.bin"}
 
 
+def _all_keys(node):
+    """Every dict key at any depth of a parsed JSON document."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield key
+            yield from _all_keys(value)
+    elif isinstance(node, list):
+        for item in node:
+            yield from _all_keys(item)
+
+
 def test_reports_carry_no_timestamps(corpora, tmp_path):
-    out = tmp_path / "out"
-    run_downstream(
-        ExperimentConfig(
-            mode="downstream",
-            out_dir=str(out),
-            train_path=str(corpora["dirs"]["flights"] / "train.tsv"),
-            test_path=str(corpora["dirs"]["flights"] / "test.tsv"),
-            classifier=TINY_CLF,
-            seeds=[1],
-        )
-    )
-    blob = (out / "report.json").read_text() + (out / "config_resolved.json").read_text()
-    for needle in ("time", "date", "20"):
-        # crude but effective: no ISO dates, no epoch fields
-        assert "timestamp" not in blob
-    assert "duration" not in blob
+    flights = corpora["dirs"]["flights"]
+    runs = {
+        "pretrain": run_pretrain(
+            ExperimentConfig(
+                mode="pretrain",
+                out_dir=str(tmp_path / "pretrain"),
+                train_path=str(flights / "train.tsv"),
+                autoencoder=TINY_AE,
+                seeds=[1],
+            )
+        ),
+        "downstream": run_downstream(
+            ExperimentConfig(
+                mode="downstream",
+                out_dir=str(tmp_path / "downstream"),
+                train_path=str(flights / "train.tsv"),
+                test_path=str(flights / "test.tsv"),
+                classifier=TINY_CLF,
+                seeds=[1],
+            )
+        ),
+    }
+    for mode, report in runs.items():
+        assert report["mode"] == mode
+        for name in ("report.json", "config_resolved.json"):
+            keys = list(_all_keys(json.loads((tmp_path / mode / name).read_text())))
+            assert len(keys) > 10
+            for key in keys:
+                for needle in ("time", "date", "duration"):
+                    assert needle not in key.lower(), (mode, name, key)
 
 
 def test_jobs_do_not_change_results(corpora, tmp_path):
