@@ -17,7 +17,7 @@ import os
 import sys
 from pathlib import Path
 
-from .autoencoder import AutoencoderConfig
+from .autoencoder import AutoencoderConfig, load_checkpoint
 from .downstream import ClassifierConfig
 from .dpmech import PrivacyParams, run_bound_suite
 from .numcore import Rng
@@ -116,7 +116,11 @@ def build_parser() -> _Parser:
     p.add_argument("--train", help="training split TSV")
     p.add_argument("--val", help="validation split TSV")
     p.add_argument("--epsilon", help="privacy budget, a positive number or 'inf'")
-    p.add_argument("--clip", type=float, help="latent l1 clip radius C (default 5)")
+    p.add_argument(
+        "--clip",
+        type=float,
+        help="latent l1 clip radius C; must be the checkpoint's (default the checkpoint's)",
+    )
     _add_common(p, "runs/rewrite")
 
     p = commands.add_parser("downstream", help="train a classifier and score the original test split")
@@ -275,16 +279,20 @@ def _experiment_config(ns: argparse.Namespace, opts: _Options) -> ExperimentConf
                 **common,
             )
         if ns.command == "rewrite":
+            checkpoint = opts.require("checkpoint", "checkpoint")
+            train = opts.require("train", "train")
+            epsilon = parse_epsilon(opts.require("epsilon", "epsilon"))
             clip = _float_option(opts, "clip")
+            if clip is None:
+                # a CheckpointError is no ValueError, so an unreadable
+                # checkpoint still exits 2, as when run_rewrite loads it
+                clip = load_checkpoint(checkpoint).config.clip_c
             return ExperimentConfig(
                 mode="rewrite",
-                checkpoint_in=opts.require("checkpoint", "checkpoint"),
-                train_path=opts.require("train", "train"),
+                checkpoint_in=checkpoint,
+                train_path=train,
                 validation_path=opts.get("val"),
-                privacy=PrivacyParams(
-                    epsilon=parse_epsilon(opts.require("epsilon", "epsilon")),
-                    clip_c=clip if clip is not None else 5.0,
-                ),
+                privacy=PrivacyParams(epsilon=epsilon, clip_c=clip),
                 **common,
             )
         if ns.command == "downstream":

@@ -113,6 +113,7 @@ def train_classifier(
     label_index = {lab: i for i, lab in enumerate(labels)}
     pooled_all = _mean_pool_matrix(train, vocab)
     targets_all = np.array([label_index[d.label] for d in train], dtype=np.int64)
+    pooled_val = _mean_pool_matrix(validation, vocab) if validation else None
     gold_val = [d.label for d in validation]
 
     opt = AdamState.init(model.parameters())
@@ -138,7 +139,8 @@ def train_classifier(
             }
             adam_step(model.parameters(), grads, config.learning_rate, opt)
         if validation:
-            preds = predict_batch(model, validation, vocab)
+            # predict_batch's arithmetic on the validation split pooled once
+            preds = [labels[i] for i in np.argmax(_logits(pooled_val, model), axis=1)]
             f1 = macro_f1(preds, gold_val, labels)
             if f1 > best_f1:
                 best_f1 = f1

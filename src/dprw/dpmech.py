@@ -88,11 +88,11 @@ def sample_laplace(b: float, dim: int, rng: Rng) -> Array:
     return -b * np.sign(u) * np.log(inner)
 
 
-def privatize(latent: Array, params: PrivacyParams, rng: Rng) -> Array:
+def privatize(latent: Array, params: PrivacyParams, rng: Rng | None) -> Array:
     """Clip, then add calibrated Laplace noise.
 
     With epsilon = inf this is clip_l1 exactly (no addition is performed,
-    so even signed zeros survive).
+    so even signed zeros survive) and ``rng`` is not used, so it may be None.
     """
     clipped = clip_l1(latent, params.clip_c)
     b = calibrate_scale(params)

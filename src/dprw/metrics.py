@@ -15,6 +15,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
+import numpy as np
+
 from .corpus import Document, tokenize
 
 __all__ = ["bleu", "macro_f1", "unigram_f1", "leak_audit", "LeakReport"]
@@ -115,6 +117,37 @@ class LeakReport:
         return sum(self.flagged) / len(self.flagged)
 
 
+def _count_matrix(docs: list[list[str]], index: dict[str, int]) -> np.ndarray:
+    """Row i counts doc i's tokens per column of ``index``; tokens outside
+    the index are dropped."""
+    rows, cols = [], []
+    for i, toks in enumerate(docs):
+        for tok in toks:
+            col = index.get(tok)
+            if col is not None:
+                rows.append(i)
+                cols.append(col)
+    flat = np.asarray(rows, dtype=np.int64) * len(index) + np.asarray(cols, dtype=np.int64)
+    return np.bincount(flat, minlength=len(docs) * len(index)).reshape(len(docs), len(index))
+
+
+def _multiset_overlaps(r_counts: np.ndarray, p_counts: np.ndarray) -> np.ndarray:
+    """overlap[i, j] = sum over tokens of min(r_counts[i], p_counts[j]).
+
+    min(a, b) = sum_{t >= 1} [a >= t][b >= t], so the overlap is a sum of
+    0/1 GEMMs, one per count threshold t, each restricted to the tokens
+    that reach t on both sides. Every product and partial sum is a small
+    integer, so float64 holds it exactly whatever the BLAS summation order.
+    """
+    overlap = np.zeros((r_counts.shape[0], p_counts.shape[0]))
+    top = min(r_counts.max(initial=0), p_counts.max(initial=0))
+    for t in range(1, top + 1):
+        r_hit, p_hit = r_counts >= t, p_counts >= t
+        cols = r_hit.any(axis=0) & p_hit.any(axis=0)
+        overlap += r_hit[:, cols].astype(np.float64) @ p_hit[:, cols].T.astype(np.float64)
+    return overlap
+
+
 def leak_audit(
     rewritten: Sequence[Document],
     source: Sequence[Document],
@@ -127,25 +160,44 @@ def leak_audit(
     audit computes s_src = unigram_f1(rewritten[i], source[i]) and the
     maximum s_pre over the pre-training corpus; the document is flagged
     iff s_pre >= s_src + margin. leak_score is the flagged fraction.
+
+    All rewrite/pre-training pairs are scored at once from token-count
+    matrices (see ``_multiset_overlaps``), with unigram_f1's arithmetic
+    and empty-document rules. The nearest document is the first one that
+    reaches the maximum, and is -1 (with s_pre 0.0) when no pre-training
+    document shares a token with the rewrite.
     """
     if len(rewritten) != len(source):
         raise ValueError(
             f"misaligned inputs: {len(rewritten)} rewritten vs {len(source)} source"
         )
+    rewrite_tokens = [tokenize(doc.text) for doc in rewritten]
     pretrain_tokens = [tokenize(doc.text) for doc in pretrain_corpus]
+    index: dict[str, int] = {}
+    for toks in pretrain_tokens:
+        for tok in toks:
+            index.setdefault(tok, len(index))
+    overlap = _multiset_overlaps(
+        _count_matrix(rewrite_tokens, index), _count_matrix(pretrain_tokens, index)
+    )
+    denom = np.add.outer(
+        np.array([len(t) for t in rewrite_tokens], dtype=np.float64),
+        np.array([len(t) for t in pretrain_tokens], dtype=np.float64),
+    )
+    # Column 0 is a 0.0 sentinel: argmax takes the first maximum, so a row
+    # with no positive similarity picks it and reports nearest -1, s_pre 0.0.
+    # Both documents empty scores 1.0; one empty has overlap 0 and scores 0.0.
+    sim = np.ones((len(rewritten), len(pretrain_corpus) + 1))
+    sim[:, 0] = 0.0
+    np.divide(2.0 * overlap, denom, out=sim[:, 1:], where=denom > 0)
+    nearest = sim.argmax(axis=1)
+    best = sim[np.arange(len(rewritten)), nearest]
+
     report = LeakReport(margin=margin)
-    for rewrite, orig in zip(rewritten, source):
-        toks = tokenize(rewrite.text)
+    for toks, orig, j, s_pre in zip(rewrite_tokens, source, nearest.tolist(), best.tolist()):
         s_src = unigram_f1(toks, tokenize(orig.text))
-        s_pre = 0.0
-        nearest = -1
-        for j, cand in enumerate(pretrain_tokens):
-            s = unigram_f1(toks, cand)
-            if s > s_pre:
-                s_pre = s
-                nearest = j
         report.similarity_to_source.append(s_src)
         report.max_similarity_to_pretrain.append(s_pre)
-        report.nearest_pretrain_index.append(nearest)
+        report.nearest_pretrain_index.append(j - 1)
         report.flagged.append(s_pre >= s_src + margin)
     return report

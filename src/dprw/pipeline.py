@@ -178,6 +178,7 @@ def rewrite_documents(
 
     Noise for document i comes from the stream (seed, "rewrite", split,
     i), so results do not depend on iteration order or parallel sharding.
+    At epsilon = inf no noise is drawn, so no stream is derived.
     A decode that produces no tokens is materialized as a single UNK so
     the document count and TSV format survive.
     """
@@ -185,10 +186,12 @@ def rewrite_documents(
         return []
     ids = pad_batch([encode(doc, model.vocabulary, model.config.max_len) for doc in docs])
     latents = model.encode_batch(ids)
-    rng = Rng(seed)
-    noisy = np.stack(
-        [privatize(latent, privacy, rng.derive("rewrite", split_name, i)) for i, latent in enumerate(latents)]
-    )
+    if privacy.non_private:
+        streams = [None] * len(docs)
+    else:
+        rng = Rng(seed)
+        streams = [rng.derive("rewrite", split_name, i) for i in range(len(docs))]
+    noisy = np.stack([privatize(latent, privacy, stream) for latent, stream in zip(latents, streams)])
     decoded = model.decode_greedy_batch(noisy)
     out = []
     for doc, token_ids in zip(docs, decoded):
@@ -217,16 +220,22 @@ def _reconstruction_bleu(ckpt: AutoencoderCheckpoint, docs: list[Document]) -> f
 
 def _write_outputs(config: ExperimentConfig, report: dict, summary: str) -> dict:
     """Stamp the mode and resolved config into the report, write the three
-    output files, and return the stamped report."""
+    output files, and return the stamped report.
+
+    Both JSON files are strict JSON: a NaN or infinite value raises
+    ValueError before anything is written.
+    """
     resolved = config.to_dict()
     report = {"mode": config.mode, "config": resolved, **report}
+    texts = {
+        "report.json": json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n",
+        "summary.txt": summary,
+        "config_resolved.json": json.dumps(resolved, indent=2, sort_keys=True, allow_nan=False) + "\n",
+    }
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "report.json").write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-    (out / "summary.txt").write_text(summary)
-    (out / "config_resolved.json").write_text(
-        json.dumps(resolved, indent=2, sort_keys=True) + "\n"
-    )
+    for name, text in texts.items():
+        (out / name).write_text(text)
     return report
 
 
@@ -246,6 +255,12 @@ def _load_splits(config: ExperimentConfig) -> LabeledDataset:
 # -- pretrain mode ------------------------------------------------------------
 
 
+def _require_training_epochs(config: ExperimentConfig) -> None:
+    """A pre-train without epochs has no final loss to report."""
+    if config.autoencoder.epochs == 0:
+        raise ValueError(f"epochs must be at least 1 for {config.mode}; with 0 there is no final loss")
+
+
 def _pretrain_unit(payload) -> tuple[int, AutoencoderCheckpoint, float]:
     dataset, ae_config, seed = payload
     ckpt = pretrain(dataset, ae_config, seed)
@@ -255,6 +270,7 @@ def _pretrain_unit(payload) -> tuple[int, AutoencoderCheckpoint, float]:
 def run_pretrain(config: ExperimentConfig) -> dict:
     """Pre-train per seed; the first seed's checkpoint is the canonical
     artifact written to checkpoint_out (default <out_dir>/checkpoint.bin)."""
+    _require_training_epochs(config)
     dataset = _load_splits(config)
     results = _map_units(
         config.jobs,
@@ -268,7 +284,7 @@ def run_pretrain(config: ExperimentConfig) -> dict:
     Path(ckpt_path).parent.mkdir(parents=True, exist_ok=True)
     save_checkpoint(canonical, ckpt_path)
 
-    loss_stats = _stats_block({s: (v if v is not None else float("nan")) for s, v in losses.items()})
+    loss_stats = _stats_block(losses)
     bleu_stats = _stats_block(bleus)
     report = {
         "metrics": {"final_loss": loss_stats, "reconstruction_bleu": bleu_stats},
@@ -451,6 +467,7 @@ def _case_unit(payload) -> dict:
 def run_case_study(config: ExperimentConfig) -> dict:
     """The full matrix: 2 pretrains x 2 rewrite corpora x 5 epsilons, all
     per seed, plus the 2 original-data downstream rows and baselines."""
+    _require_training_epochs(config)
     name_a, ds_a = _load_dataset_dir(config.dataset_a)
     name_b, ds_b = _load_dataset_dir(config.dataset_b)
     if name_a == name_b:

@@ -4,12 +4,20 @@ The BLEU oracle below is deliberately naive: n-grams are materialized as
 tuple lists and clipped counts are computed by scanning and removing from
 a mutable copy of the reference list. No Counter, no shared code with the
 package implementation. Keep it slow and obvious.
+
+The leak-audit oracle is the audit's original per-pair loop: every
+rewrite is scored against every pre-training document with a
+list-removal unigram F1. It shares only ``tokenize`` and the report type
+with the package.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+
+from dprw.corpus import Document, tokenize
+from dprw.metrics import LeakReport
 
 
 def _ngram_list(tokens: list[str], n: int) -> list[tuple[str, ...]]:
@@ -55,6 +63,59 @@ def bleu_brute_force(hypothesis: list[str], reference: list[str]) -> float:
     c, r = len(hypothesis), len(reference)
     brevity = 1.0 if c >= r else math.exp(1.0 - r / c)
     return geo * brevity
+
+
+def _unigram_f1_brute_force(a: list[str], b: list[str]) -> float:
+    if not a and not b:
+        return 1.0
+    if not a or not b:
+        return 0.0
+    return 2.0 * _clipped_matches(a, b) / (len(a) + len(b))
+
+
+def leak_audit_brute_force(
+    rewritten: list[Document],
+    source: list[Document],
+    pretrain_corpus: list[Document],
+    margin: float = 0.1,
+) -> LeakReport:
+    """The leak audit one pair at a time; the first strictly larger
+    similarity wins, so ties go to the lowest pre-training index and a
+    rewrite that matches nothing keeps -1 and 0.0."""
+    pretrain_tokens = [tokenize(doc.text) for doc in pretrain_corpus]
+    report = LeakReport(margin=margin)
+    for rewrite, orig in zip(rewritten, source):
+        toks = tokenize(rewrite.text)
+        s_src = _unigram_f1_brute_force(toks, tokenize(orig.text))
+        s_pre = 0.0
+        nearest = -1
+        for j, cand in enumerate(pretrain_tokens):
+            s = _unigram_f1_brute_force(toks, cand)
+            if s > s_pre:
+                s_pre = s
+                nearest = j
+        report.similarity_to_source.append(s_src)
+        report.max_similarity_to_pretrain.append(s_pre)
+        report.nearest_pretrain_index.append(nearest)
+        report.flagged.append(s_pre >= s_src + margin)
+    return report
+
+
+def _docs(texts: list[str]) -> list[Document]:
+    return [Document(text=t, label="x") for t in texts]
+
+
+# (rewritten, source, pretrain corpus) triples: empty rewrites and empty
+# pre-training documents, repeated tokens (count thresholds >= 2), ties
+# between pre-training documents, and an empty pre-training corpus.
+CURATED_LEAK_CASES: list[tuple[list[Document], list[Document], list[Document]]] = [
+    (_docs(["book a flight", "play music"]), _docs(["book a flight", "cancel it"]), _docs(["play some music", "book a"])),
+    (_docs(["", "a b"]), _docs(["a", ""]), _docs(["", "a", "b"])),
+    (_docs(["a a a b", "b b"]), _docs(["a b", "b"]), _docs(["a a", "a a a a b", "b b b"])),
+    (_docs(["x y", "q"]), _docs(["x", "q"]), _docs(["x z", "y z", "x y z w", "y x"])),
+    (_docs(["a b c", ""]), _docs(["a b", ""]), []),
+    (_docs(["the the the", "to to from"]), _docs(["the", "from to"]), _docs(["the cat the", "to from to from", "nothing here"])),
+]
 
 
 # 20 curated pairs exercising identity, disjointness, clipping, short

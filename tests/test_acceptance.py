@@ -12,12 +12,18 @@ import time
 
 import numpy as np
 import pytest
-from oracles import CURATED_BLEU_PAIRS, MACRO_F1_HAND_CASES, bleu_brute_force
+from oracles import (
+    CURATED_BLEU_PAIRS,
+    CURATED_LEAK_CASES,
+    MACRO_F1_HAND_CASES,
+    bleu_brute_force,
+    leak_audit_brute_force,
+)
 
 from dprw.autoencoder import Autoencoder, AutoencoderConfig, pad_batch, pretrain
 from dprw.corpus import Document, build_vocabulary, encode, tokenize, write_split
 from dprw.dpmech import BOUND_TOL, PrivacyParams, run_bound_suite
-from dprw.metrics import bleu, macro_f1
+from dprw.metrics import bleu, leak_audit, macro_f1
 from dprw.numcore import Rng, finite_difference_check
 from dprw.pipeline import (
     EPSILON_LADDER,
@@ -216,7 +222,8 @@ def test_criterion_6_utility_degrades_monotonically_with_epsilon(case_study):
 
 def test_criterion_7_metrics_match_independent_oracles():
     # BLEU vs brute-force n-gram counting on 20 curated pairs within 1e-9;
-    # macro-F1 vs hand-worked confusion matrices, exact equality
+    # macro-F1 vs hand-worked confusion matrices, exact equality; the leak
+    # audit vs its per-pair loop on curated cases, every field exact
     assert len(CURATED_BLEU_PAIRS) == 20
     for hyp, ref in CURATED_BLEU_PAIRS:
         fast, slow = bleu(hyp, ref), bleu_brute_force(hyp, ref)
@@ -225,7 +232,15 @@ def test_criterion_7_metrics_match_independent_oracles():
     for i, (preds, golds, labels, expected) in enumerate(MACRO_F1_HAND_CASES):
         got = macro_f1(preds, golds, labels)
         assert got == float(expected), f"case {i}: {got} != {expected}"
-    print("criterion 7 PASS: 20 BLEU pairs within 1e-9, 10 macro-F1 cases exact")
+    assert len(CURATED_LEAK_CASES) == 6
+    for i, (rewritten, source, pretrain_docs) in enumerate(CURATED_LEAK_CASES):
+        got = leak_audit(rewritten, source, pretrain_docs)
+        expected = leak_audit_brute_force(rewritten, source, pretrain_docs)
+        assert got == expected, f"leak case {i}: {got} != {expected}"
+    print(
+        "criterion 7 PASS: 20 BLEU pairs within 1e-9, 10 macro-F1 cases exact, "
+        "6 leak-audit cases exact"
+    )
 
 
 def test_criterion_8_reruns_are_byte_identical_and_reports_show_mean_std(

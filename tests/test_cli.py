@@ -17,7 +17,7 @@ from dprw.cli import (
     parse_epsilon,
 )
 from dprw.corpus import write_split
-from dprw.synth import FLIGHTS, make_corpus
+from dprw.synth import FLIGHTS, SMART_HOME, make_corpus
 
 FAST_AE = ["--epochs", "2", "--embed-dim", "6", "--hidden-dim", "8", "--max-len", "12"]
 
@@ -308,22 +308,64 @@ def test_full_chain_pretrain_rewrite_downstream(workspace, tmp_path):
     assert (down / "config_resolved.json").exists()
 
 
-def test_rewrite_refuses_a_clip_other_than_the_checkpoints(workspace, tmp_path, capsys):
-    ckpt = tmp_path / "clip2.bin"
+@pytest.fixture(scope="module")
+def clip2_checkpoint(workspace):
+    ckpt = workspace / "clip2.bin"
     assert main(
         ["pretrain", "--train", str(workspace / "train.tsv"), "--out", str(ckpt),
-         "--out-dir", str(tmp_path / "pre"), "--seed", "1", "--clip", "2", *FAST_AE]
+         "--out-dir", str(workspace / "pre_clip2"), "--seed", "1", "--clip", "2", *FAST_AE]
     ) == EXIT_OK
-    argv = ["rewrite", "--checkpoint", str(ckpt), "--train", str(workspace / "train.tsv"),
+    return ckpt
+
+
+def test_rewrite_refuses_a_clip_other_than_the_checkpoints(workspace, clip2_checkpoint, tmp_path, capsys):
+    argv = ["rewrite", "--checkpoint", str(clip2_checkpoint), "--train", str(workspace / "train.tsv"),
             "--epsilon", "10", "--seed", "1"]
-    out = tmp_path / "default_clip"
-    assert main([*argv, "--out-dir", str(out)]) == EXIT_RUNTIME  # default --clip is 5
+    out = tmp_path / "other_clip"
+    assert main([*argv, "--clip", "5", "--out-dir", str(out)]) == EXIT_RUNTIME
     err = capsys.readouterr().err
     assert "clip radius 5.0" in err and "clip_c 2.0" in err
     assert not out.exists()
     out = tmp_path / "matching_clip"
     assert main([*argv, "--clip", "2", "--out-dir", str(out)]) == EXIT_OK
     assert json.loads((out / "config_resolved.json").read_text())["clip_c"] == 2.0
+
+
+def test_rewrite_defaults_to_the_checkpoints_clip(workspace, clip2_checkpoint, tmp_path):
+    out = tmp_path / "default_clip"
+    assert main(
+        ["rewrite", "--checkpoint", str(clip2_checkpoint), "--train", str(workspace / "train.tsv"),
+         "--epsilon", "10", "--seed", "1", "--out-dir", str(out)]
+    ) == EXIT_OK
+    assert json.loads((out / "config_resolved.json").read_text())["clip_c"] == 2.0
+    assert json.loads((out / "report.json").read_text())["config"]["clip_c"] == 2.0
+
+
+def test_pretrain_with_zero_epochs_exits_2_and_writes_no_report(workspace, tmp_path, capsys):
+    out = tmp_path / "pre"
+    code = main(
+        ["pretrain", "--train", str(workspace / "train.tsv"), "--out-dir", str(out),
+         "--seed", "1", "--epochs", "0", "--embed-dim", "6", "--hidden-dim", "8"]
+    )
+    assert code == EXIT_RUNTIME
+    assert "epochs" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_case_study_with_zero_epochs_exits_2_and_writes_no_report(tmp_path, capsys):
+    for spec in (FLIGHTS, SMART_HOME):
+        ds = make_corpus(spec, seed=5, train_size=8, val_size=4, test_size=4)
+        (tmp_path / spec.name).mkdir()
+        for split in ("train", "validation", "test"):
+            write_split(getattr(ds, split), tmp_path / spec.name / f"{split}.tsv")
+    out = tmp_path / "case"
+    code = main(
+        ["case-study", "--dataset-a", str(tmp_path / "flights"), "--dataset-b", str(tmp_path / "smart_home"),
+         "--out-dir", str(out), "--seed", "1", "--epochs", "0", "--clf-epochs", "1"]
+    )
+    assert code == EXIT_RUNTIME
+    assert "epochs" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_rerun_is_byte_identical(workspace, tmp_path):

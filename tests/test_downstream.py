@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+import dprw.downstream
 from dprw.corpus import Document, build_vocabulary, collect_labels
 from dprw.downstream import (
     ClassifierConfig,
@@ -75,6 +76,22 @@ def test_zero_epochs_warns_and_returns_untrained_model():
         model, vocab = fit(SEPARABLE_TRAIN, config=ClassifierConfig(epochs=0))
     assert any("epoch" in str(w.message).lower() for w in caught)
     assert len(predict_batch(model, SEPARABLE_TEST, vocab)) == len(SEPARABLE_TEST)
+
+
+@pytest.mark.parametrize("with_validation, pools", [(True, 2), (False, 1)])
+def test_each_split_is_pooled_once(monkeypatch, with_validation, pools):
+    calls = []
+    real = dprw.downstream._mean_pool_matrix
+
+    def counting(docs, vocab):
+        calls.append(len(docs))
+        return real(docs, vocab)
+
+    monkeypatch.setattr(dprw.downstream, "_mean_pool_matrix", counting)
+    validation = SEPARABLE_TEST if with_validation else ()
+    fit(SEPARABLE_TRAIN, validation, ClassifierConfig(epochs=5))
+    assert len(calls) == pools
+    assert calls[0] == len(SEPARABLE_TRAIN)
 
 
 def test_validation_snapshot_takes_earliest_best_epoch():

@@ -11,7 +11,13 @@ from hypothesis import strategies as st
 from dprw.corpus import Document
 from dprw.metrics import bleu, leak_audit, macro_f1, unigram_f1
 
-from oracles import CURATED_BLEU_PAIRS, MACRO_F1_HAND_CASES, bleu_brute_force
+from oracles import (
+    CURATED_BLEU_PAIRS,
+    CURATED_LEAK_CASES,
+    MACRO_F1_HAND_CASES,
+    bleu_brute_force,
+    leak_audit_brute_force,
+)
 
 tokens = st.lists(st.sampled_from(["a", "b", "c", "d", "e"]), max_size=8)
 nonempty_tokens = st.lists(st.sampled_from(["a", "b", "c", "d", "e"]), min_size=1, max_size=8)
@@ -124,6 +130,18 @@ def _docs(texts: list[str]) -> list[Document]:
     return [Document(text=t, label="x") for t in texts]
 
 
+def _assert_same_report(got, expected):
+    """Every LeakReport field equal, floats compared by their bits."""
+    assert got.margin == expected.margin
+    for name in ("similarity_to_source", "max_similarity_to_pretrain"):
+        assert [x.hex() for x in getattr(got, name)] == [x.hex() for x in getattr(expected, name)], name
+        assert all(type(x) is float for x in getattr(got, name)), name
+    assert got.nearest_pretrain_index == expected.nearest_pretrain_index
+    assert all(type(j) is int for j in got.nearest_pretrain_index)
+    assert got.flagged == expected.flagged
+    assert got.leak_score == expected.leak_score
+
+
 class TestLeakAudit:
     def test_faithful_rewrites_score_zero(self):
         source = _docs(["book a flight", "cancel my trip"])
@@ -157,6 +175,51 @@ class TestLeakAudit:
         report = leak_audit(source, source, [])
         assert report.leak_score == 0.0
         assert report.nearest_pretrain_index == [-1]
+        assert report.max_similarity_to_pretrain == [0.0]
+
+    def test_ties_go_to_the_first_pretrain_document(self):
+        report = leak_audit(_docs(["a b"]), _docs(["c"]), _docs(["c d", "a c", "b c", "a c"]))
+        assert report.nearest_pretrain_index == [1]
+        assert report.max_similarity_to_pretrain == [0.5]
+
+    def test_repeated_tokens_count_up_to_the_smaller_multiplicity(self):
+        # overlaps with the rewrite "a a a b": min counts give 2, 3 and 1
+        report = leak_audit(_docs(["a a a b"]), _docs(["z"]), _docs(["a a", "a a a a b", "b b b"]))
+        assert report.nearest_pretrain_index == [1]
+        assert report.max_similarity_to_pretrain == [2.0 * 4 / 9]
+
+    def test_empty_documents_follow_unigram_f1(self):
+        # an empty rewrite matches only an empty pre-training document
+        report = leak_audit(_docs(["", ""]), _docs(["a", ""]), _docs(["a", "", "b"]))
+        assert report.nearest_pretrain_index == [1, 1]
+        assert report.max_similarity_to_pretrain == [1.0, 1.0]
+        assert report.similarity_to_source == [0.0, 1.0]
+        assert report.flagged == [True, False]
+
+    def test_matches_oracle_on_curated_cases(self):
+        for rewritten, source, pretrain in CURATED_LEAK_CASES:
+            _assert_same_report(
+                leak_audit(rewritten, source, pretrain),
+                leak_audit_brute_force(rewritten, source, pretrain),
+            )
+
+    @given(
+        data=st.data(),
+        n_pretrain=st.integers(min_value=0, max_value=7),
+        margin=st.sampled_from([0.0, 0.1, 0.25]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_oracle_bit_for_bit(self, data, n_pretrain, margin):
+        # a three-word alphabet and up to 8 tokens per document give many
+        # repeated tokens, empty documents and tied similarities
+        text = st.lists(st.sampled_from(["a", "b", "c"]), max_size=8).map(" ".join)
+        rewritten = _docs(data.draw(st.lists(text, max_size=6)))
+        source = _docs(data.draw(st.lists(text, min_size=len(rewritten), max_size=len(rewritten))))
+        pretrain = _docs(data.draw(st.lists(text, min_size=n_pretrain, max_size=n_pretrain)))
+        _assert_same_report(
+            leak_audit(rewritten, source, pretrain, margin=margin),
+            leak_audit_brute_force(rewritten, source, pretrain, margin=margin),
+        )
 
     @given(
         margins=st.tuples(

@@ -10,6 +10,7 @@ import pytest
 import dprw.autoencoder
 import dprw.dpmech
 import dprw.downstream
+import dprw.numcore
 import dprw.pipeline
 from dprw.autoencoder import Autoencoder, AutoencoderConfig, pretrain
 from dprw.corpus import UNK, Document, load_split, write_split
@@ -172,6 +173,39 @@ def test_rewrite_runs_privatize_once_per_document_on_its_own_stream(corpora, mon
     monkeypatch.setattr(dprw.pipeline, "privatize", spy)
     rewrite_documents(model, docs, privacy, seed=3, split_name="train")
     assert calls == [("rewrite", "train", i) for i in range(len(docs))]
+
+
+def _record_derivations(monkeypatch) -> list[tuple]:
+    paths = []
+    real = dprw.numcore.Rng.derive
+
+    def spy(self, *keys):
+        paths.append(self.path + keys)
+        return real(self, *keys)
+
+    monkeypatch.setattr(dprw.numcore.Rng, "derive", spy)
+    return paths
+
+
+def test_rewrite_derives_no_noise_stream_at_infinite_epsilon(corpora, monkeypatch):
+    model = Autoencoder.from_checkpoint(dprw.autoencoder.load_checkpoint(corpora["checkpoint"]))
+    docs = corpora["datasets"]["flights"].train[:5]
+    paths = _record_derivations(monkeypatch)
+    out = rewrite_documents(
+        model, docs, PrivacyParams(epsilon=math.inf, clip_c=TINY_AE.clip_c), seed=3, split_name="train"
+    )
+    assert len(out) == len(docs)
+    assert paths == []
+
+
+def test_rewrite_derives_one_stream_per_document_at_finite_epsilon(corpora, monkeypatch):
+    model = Autoencoder.from_checkpoint(dprw.autoencoder.load_checkpoint(corpora["checkpoint"]))
+    docs = corpora["datasets"]["flights"].train[:5]
+    paths = _record_derivations(monkeypatch)
+    rewrite_documents(
+        model, docs, PrivacyParams(epsilon=10.0, clip_c=TINY_AE.clip_c), seed=3, split_name="validation"
+    )
+    assert paths == [("rewrite", "validation", i) for i in range(len(docs))]
 
 
 def test_rewrite_empty_decode_becomes_unk_placeholder(corpora):
@@ -396,6 +430,31 @@ def test_reports_carry_no_timestamps(corpora, tmp_path):
             for key in keys:
                 for needle in ("time", "date", "duration"):
                     assert needle not in key.lower(), (mode, name, key)
+
+
+def test_reports_are_strict_json_and_a_nan_writes_nothing(tmp_path):
+    config = ExperimentConfig(mode="downstream", out_dir=str(tmp_path / "out"), train_path="t", test_path="t")
+    with pytest.raises(ValueError):
+        dprw.pipeline._write_outputs(config, {"metrics": {"mean": float("nan")}}, "summary\n")
+    assert not (tmp_path / "out").exists()
+
+
+def test_pretrain_refuses_zero_epochs_before_training(corpora, tmp_path, monkeypatch):
+    def boom(*a, **k):
+        raise AssertionError("no pre-training may start")
+
+    monkeypatch.setattr(dprw.pipeline, "pretrain", boom)
+    with pytest.raises(ValueError, match="epochs"):
+        run_pretrain(
+            ExperimentConfig(
+                mode="pretrain",
+                out_dir=str(tmp_path / "out"),
+                train_path=str(corpora["dirs"]["flights"] / "train.tsv"),
+                autoencoder=dataclasses.replace(TINY_AE, epochs=0),
+                seeds=[1],
+            )
+        )
+    assert not (tmp_path / "out").exists()
 
 
 def test_jobs_do_not_change_results(corpora, tmp_path):
