@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import EOS_ID, PAD_ID, SOS_ID, LabeledDataset, Vocabulary, build_vocabulary, encode
-from .numcore import AdamState, Array, Rng, Tape, adam_step, gru_cell
+from .numcore import AdamState, Array, NonFiniteError, Rng, Tape, adam_step, gru_cell, split_gru_weights
 
 __all__ = [
     "AutoencoderConfig",
@@ -108,8 +108,8 @@ class AutoencoderCheckpoint:
 
 
 def _gru_weights(params: dict, side: str) -> tuple:
-    """One side's (wz, bz, wr, br, wh, bh) in ``gru_cell`` order; the
-    values are arrays for inference and tape nodes for training."""
+    """One side's (wz, bz, wr, br, wh, bh) in ``split_gru_weights`` order;
+    the values are arrays for inference and tape nodes for training."""
     return tuple(params[f"{side}_{name}"] for name in ("wz", "bz", "wr", "br", "wh", "bh"))
 
 
@@ -117,7 +117,11 @@ class Autoencoder:
     """Encoder/decoder pair sharing one embedding table.
 
     Training and inference run the same GRU step, ``numcore.gru_cell``:
-    the tape's ``gru_step`` op uses it as its forward.
+    the tape's ``gru_pass`` op uses it as its forward. Inference takes each
+    token's input projection from a per-side (V, 3H) table, the embedding
+    projected once; the tables and split weights are built on first use and
+    dropped by ``train_step``, so code that edits ``parameters`` in place
+    some other way must build a new model before running inference.
     """
 
     def __init__(
@@ -143,6 +147,7 @@ class Autoencoder:
             if rng is None:
                 raise ValueError("either parameters or an init rng is required")
             self.parameters = self._init_parameters(shapes, rng)
+        self._inference: dict[str, tuple] = {}
 
     @staticmethod
     def _init_parameters(shapes: dict[str, tuple[int, ...]], rng: Rng) -> dict[str, Array]:
@@ -172,6 +177,14 @@ class Autoencoder:
 
     # -- inference ----------------------------------------------------------
 
+    def _gru_inference(self, side: str) -> tuple[Array, tuple]:
+        """One side's (V, 3H) input projection of every token, and its
+        hidden-side rows."""
+        if side not in self._inference:
+            wx, bias, u = split_gru_weights(_gru_weights(self.parameters, side))
+            self._inference[side] = (self.parameters["embedding"] @ wx + bias, u)
+        return self._inference[side]
+
     def encode_batch(self, ids: Array) -> Array:
         """Final encoder hidden states for a padded (B, T) id matrix.
 
@@ -180,15 +193,11 @@ class Autoencoder:
         ids = np.asarray(ids)
         if ids.ndim != 2 or ids.shape[1] == 0:
             raise ValueError("ids must be a non-empty (batch, time) matrix")
-        b = ids.shape[0]
-        h = np.zeros((b, self.config.hidden_dim))
-        emb = self.parameters["embedding"]
-        weights = _gru_weights(self.parameters, "enc")
-        for t in range(ids.shape[1]):
-            step = ids[:, t]
-            h_new = gru_cell(emb[step], h, weights)[0]  # no cache kept across steps: peak memory
-            real = (step != PAD_ID)[:, None]
-            h = np.where(real, h_new, h)
+        h = np.zeros((ids.shape[0], self.config.hidden_dim))
+        table, u = self._gru_inference("enc")
+        for step in ids.T:
+            h_new = gru_cell(table[step], h, u)[0]  # no cache kept across steps: peak memory
+            h = np.where((step != PAD_ID)[:, None], h_new, h)
         return h
 
     def decode_greedy_batch(self, latents: Array, max_len: int | None = None) -> list[list[int]]:
@@ -203,8 +212,7 @@ class Autoencoder:
         limit = self.config.max_len if max_len is None else max_len
         b = latents.shape[0]
         h = latents.copy()
-        emb = self.parameters["embedding"]
-        weights = _gru_weights(self.parameters, "dec")
+        table, u = self._gru_inference("dec")
         tokens = np.full(b, SOS_ID, dtype=np.int64)
         done = np.zeros(b, dtype=bool)
         eos_step = np.full(b, -1)
@@ -212,7 +220,7 @@ class Autoencoder:
         for step_i in range(limit + 1):  # +1 so EOS can follow a full-budget output
             if done.all():
                 break
-            h = np.where(done[:, None], h, gru_cell(emb[tokens], h, weights)[0])
+            h = np.where(done[:, None], h, gru_cell(table[tokens], h, u)[0])
             logits = h @ self.parameters["out_w"] + self.parameters["out_b"]
             nxt = np.argmax(logits, axis=1)
             emitted.append(np.where(done, PAD_ID, nxt))
@@ -234,28 +242,19 @@ class Autoencoder:
         """Teacher-forced reconstruction loss for a padded (B, T) batch.
 
         The clipped latent is the decoder's initial hidden state; targets
-        are the inputs shifted left one step, PAD positions ignored.
+        are the inputs shifted left one step, PAD positions ignored. Each
+        GRU pass is one tape node over time-major rows.
         """
-        batch = np.asarray(batch)
-        b, t_len = batch.shape
-        enc, dec = _gru_weights(leaves, "enc"), _gru_weights(leaves, "dec")
-        h = tape.leaf(np.zeros((b, self.config.hidden_dim)), name="h0")
-        for t in range(t_len):
-            step = batch[:, t]
-            x = tape.row_select(leaves["embedding"], step)
-            h_new = tape.gru_step(x, h, enc)
-            h = tape.where_rows(step != PAD_ID, h_new, h)
-        latent = tape.clip_rows_l1(h, self.config.clip_c)
+        steps = np.asarray(batch).T  # (T, B)
+        h0 = tape.leaf(np.zeros((steps.shape[1], self.config.hidden_dim)), name="h0")
+        x = tape.row_select(leaves["embedding"], steps.reshape(-1))
+        final = tape.gru_pass(x, h0, _gru_weights(leaves, "enc"), mask=steps != PAD_ID)
+        latent = tape.clip_rows_l1(final, self.config.clip_c)
 
-        h = latent
-        step_logits = []
-        for t in range(t_len - 1):
-            x = tape.row_select(leaves["embedding"], batch[:, t])
-            h = tape.gru_step(x, h, dec)
-            step_logits.append(tape.add(tape.matmul(h, leaves["out_w"]), leaves["out_b"]))
-        logits = tape.concat(step_logits, axis=0)
-        targets = batch[:, 1:].T.reshape(-1)  # timestep-major, matching the concat
-        return tape.softmax_cross_entropy(logits, targets, ignore_id=PAD_ID)
+        x = tape.row_select(leaves["embedding"], steps[:-1].reshape(-1))
+        states = tape.gru_pass(x, latent, _gru_weights(leaves, "dec"), all_states=True)
+        logits = tape.add(tape.matmul(states, leaves["out_w"]), leaves["out_b"])
+        return tape.softmax_cross_entropy(logits, steps[1:].reshape(-1), ignore_id=PAD_ID)
 
     def train_step(self, batch: Array, opt_state: AdamState) -> float:
         """One teacher-forced batch: forward, backward, Adam update."""
@@ -271,6 +270,7 @@ class Autoencoder:
             for k in self.parameters
         }
         adam_step(self.parameters, grads, self.config.learning_rate, opt_state)
+        self._inference.clear()
         return float(loss.value)
 
 
@@ -315,7 +315,12 @@ def pretrain(
         for start in range(0, len(order), config.batch_size):
             chunk = order[start : start + config.batch_size]
             batch = pad_batch([encoded[i] for i in chunk])
-            losses.append(model.train_step(batch, opt))
+            try:
+                losses.append(model.train_step(batch, opt))
+            except NonFiniteError as exc:
+                raise NonFiniteError(
+                    f"pre-training seed {seed}, epoch {epoch}, batch {start // config.batch_size}: {exc}"
+                ) from exc
         final_loss = float(np.mean(losses))
     return model.to_checkpoint(
         {"epochs_completed": config.epochs, "final_loss": final_loss, "seed": seed}

@@ -15,7 +15,7 @@ import numpy as np
 
 from .corpus import Document, Vocabulary, collect_labels, tokenize
 from .metrics import macro_f1
-from .numcore import AdamState, Array, Rng, Tape, adam_step
+from .numcore import AdamState, Array, Rng, adam_step, require_finite, softmax
 
 __all__ = [
     "ClassifierConfig",
@@ -82,6 +82,20 @@ def predict_batch(model: ClassifierModel, docs: list[Document], vocab: Vocabular
     return [model.labels[i] for i in np.argmax(logits, axis=1)]
 
 
+def _gradients(model: ClassifierModel, pooled: Array, targets: Array) -> dict[str, Array]:
+    """Parameter gradients of the mean softmax cross-entropy of one
+    minibatch, logits = (pooled @ embedding) @ out_w + out_b, written out
+    with the arithmetic reverse mode performs on that graph."""
+    hidden = pooled @ model.embedding
+    logits = hidden @ model.out_w + model.out_b
+    require_finite(logits, "classifier logits")
+    g = softmax(logits)[0]
+    n = len(targets)
+    g[np.arange(n), targets] -= 1.0
+    g = g * (1.0 / n)
+    return {"embedding": pooled.T @ (g @ model.out_w.T), "out_w": hidden.T @ g, "out_b": g.sum(axis=0)}
+
+
 def _init_model(labels: list[str], vocab: Vocabulary, config: ClassifierConfig, rng: Rng) -> ClassifierModel:
     return ClassifierModel(
         labels=list(labels),
@@ -124,19 +138,7 @@ def train_classifier(
         order = shuffle.derive(epoch).permutation(len(train))
         for start in range(0, len(order), config.batch_size):
             chunk = order[start : start + config.batch_size]
-            tape = Tape()
-            leaves = {k: tape.leaf(v, name=k) for k, v in model.parameters().items()}
-            pooled = tape.leaf(pooled_all[chunk], name="pooled")
-            logits = tape.add(
-                tape.matmul(tape.matmul(pooled, leaves["embedding"]), leaves["out_w"]),
-                leaves["out_b"],
-            )
-            loss = tape.softmax_cross_entropy(logits, targets_all[chunk], ignore_id=-1)
-            tape.backward(loss)
-            grads = {
-                k: (leaves[k].grad if leaves[k].grad is not None else np.zeros_like(v))
-                for k, v in model.parameters().items()
-            }
+            grads = _gradients(model, pooled_all[chunk], targets_all[chunk])
             adam_step(model.parameters(), grads, config.learning_rate, opt)
         if validation:
             # predict_batch's arithmetic on the validation split pooled once

@@ -1,6 +1,7 @@
 """Dense float64 numeric core: deterministic RNG streams, the one sigmoid,
-GRU cell and row-wise l1 clip that the tape, inference and the privacy
-mechanism share, a reverse-mode tape, and an Adam optimizer.
+GRU cell, softmax and row-wise l1 clip that the tape, inference, the
+classifier and the privacy mechanism share, a reverse-mode tape, and an
+Adam optimizer.
 
 Values are plain numpy float64 arrays. Every tape operation validates
 shapes and rejects non-finite results, so a diverging training run fails
@@ -27,6 +28,12 @@ class NonFiniteError(FloatingPointError):
 def as_f64(x) -> Array:
     """Coerce to a float64 ndarray without copying when already one."""
     return np.asarray(x, dtype=np.float64)
+
+
+def require_finite(x: Array, name: str) -> None:
+    """Raise ``NonFiniteError`` naming ``name`` if ``x`` holds NaN or inf."""
+    if not np.all(np.isfinite(x)):
+        raise NonFiniteError(f"non-finite result in op {name!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -96,53 +103,93 @@ class Rng:
 # Shared array math
 
 
-def sigmoid(x: Array) -> Array:
-    """Logistic function; exp only ever sees -|x|, so it never overflows."""
-    e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+def sigmoid(x: Array, out: Array | None = None) -> Array:
+    """Logistic function: 1 / (1 + e) where x >= 0, else e / (1 + e), with
+    e = exp(-|x|), so exp never overflows. max(e, x >= 0) picks the
+    numerator, since e <= 1. ``out``, which may be ``x``, takes the result."""
+    pos = x >= 0
+    e = np.abs(x, out=out)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    denom = e + 1.0
+    np.maximum(e, pos, out=e)
+    e /= denom
+    return e
 
 
-def gru_cell(x: Array, h: Array, weights: Sequence[Array]) -> tuple[Array, tuple]:
-    """One GRU step (Cho et al. 2014) over a batch of rows.
+def split_gru_weights(weights: Sequence[Array]) -> tuple[Array, Array, tuple[Array, Array, Array]]:
+    """Split one side's (wz, bz, wr, br, wh, bh), each w of shape (E + H, H)
+    with the x rows first, into the input side ``wx`` (E, 3H) and ``b``
+    (3H,), taken as one projection of all steps, and the hidden-side rows
+    ``u`` = (wz[E:], wr[E:], wh[E:]), views that ``gru_cell`` applies per
+    step."""
+    wz, bz, wr, br, wh, bh = weights
+    e = wz.shape[0] - wz.shape[1]
+    wx = np.concatenate([wz[:e], wr[:e], wh[:e]], axis=1)
+    return wx, np.concatenate([bz, br, bh]), (wz[e:], wr[e:], wh[e:])
 
-    ``weights`` is (wz, bz, wr, br, wh, bh); with xh = [x, h]:
-    z = sigmoid(xh wz + bz), r = sigmoid(xh wr + br),
-    cand = tanh([x, r * h] wh + bh), h' = (1 - z) * h + z * cand.
+
+def gru_cell(xp: Array, h: Array, u: tuple[Array, Array, Array]) -> tuple[Array, tuple]:
+    """One GRU step (Cho et al. 2014) over a batch of rows, hidden side only.
+
+    ``xp`` is the step's input projection x wx + b and ``u`` the hidden
+    rows (``split_gru_weights``), with the z, r and candidate blocks side
+    by side: [z, r] = sigmoid(xp[:, :2H] + [h u_z, h u_r]),
+    cand = tanh(xp[:, 2H:] + (r * h) u_h), h' = (1 - z) * h + z * cand.
     Returns h' and the intermediates ``gru_cell_vjp`` needs.
     """
-    wz, bz, wr, br, wh, bh = weights
-    xh = np.concatenate([x, h], axis=1)
-    z = sigmoid(xh @ wz + bz)
-    r = sigmoid(xh @ wr + br)
-    xrh = np.concatenate([x, r * h], axis=1)
-    cand = np.tanh(xrh @ wh + bh)
-    one_minus_z = 1.0 - z
-    return one_minus_z * h + z * cand, (xh, z, r, xrh, cand, one_minus_z)
+    u_z, u_r, u_h = u
+    hd = h.shape[1]
+    zr = np.empty((h.shape[0], 2 * hd))
+    np.matmul(h, u_z, out=zr[:, :hd])
+    np.matmul(h, u_r, out=zr[:, hd:])
+    zr += xp[:, : 2 * hd]
+    sigmoid(zr, out=zr)
+    z = zr[:, :hd]
+    rh = zr[:, hd:] * h
+    cand = rh @ u_h
+    cand += xp[:, 2 * hd :]
+    np.tanh(cand, out=cand)
+    h_new = 1.0 - z
+    h_new *= h
+    h_new += z * cand
+    return h_new, (zr, rh, cand)
 
 
-def gru_cell_vjp(g: Array, h: Array, weights: Sequence[Array], cache: tuple) -> tuple:
-    """Gradients of one ``gru_cell`` step for output gradient ``g``:
-    (dx, dx, dh, dh, dh, dwz, dbz, dwr, dbr, dwh, dbh). x and h get one term
-    per path (x: candidate, gates; h: carry, reset gate, gates), in the
-    order elementwise reverse mode would sum them, so sums round the same."""
-    wz, _, wr, _, wh, _ = weights
-    xh, z, r, xrh, cand, one_minus_z = cache
-    e = xh.shape[1] - h.shape[1]
-    # d_* is at a gate's output, da_* at its pre-activation
-    d_z = g * cand - g * h
-    da_h = (g * z) * (1.0 - cand * cand)
-    dxrh = da_h @ wh.T
-    d_rh = dxrh[:, e:]
-    da_r = d_rh * h * r * (1.0 - r)
-    da_z = d_z * z * (1.0 - z)
-    dxh = da_r @ wr.T + da_z @ wz.T
-    return (
-        dxrh[:, :e], dxh[:, :e],
-        g * one_minus_z, d_rh * r, dxh[:, e:],
-        xh.T @ da_z, da_z.sum(axis=0),
-        xh.T @ da_r, da_r.sum(axis=0),
-        xrh.T @ da_h, da_h.sum(axis=0),
-    )
+def gru_cell_vjp(g: Array, h: Array, u_zr: Array, u_h: Array, cache: tuple, da: Array) -> Array:
+    """Backward of one ``gru_cell`` step for output gradient ``g``; ``u_zr``
+    is [u_z, u_r] side by side (H, 2H), so the z and r terms of dh are one
+    GEMM.
+
+    Writes the gradient at the step's pre-activations, which is also the
+    gradient of its input projection, into ``da`` (B, 3H) and returns the
+    gradient of ``h``. The weight gradients are sums over steps of outer
+    products with ``da``, left to the caller."""
+    zr, rh, cand = cache
+    hd = h.shape[1]
+    z, r = zr[:, :hd], zr[:, hd:]
+    da_zr, da_h = da[:, : 2 * hd], da[:, 2 * hd :]
+    np.multiply(g, z, out=da_h)
+    da_h *= 1.0 - cand * cand
+    d_rh = da_h @ u_h.T
+    np.subtract(cand, h, out=da_zr[:, :hd])
+    da_zr[:, :hd] *= g
+    np.multiply(d_rh, h, out=da_zr[:, hd:])
+    da_zr *= zr * (1.0 - zr)  # sigmoid' = s (1 - s), z and r at once
+    dh = 1.0 - z
+    dh *= g
+    dh += d_rh * r
+    dh += da_zr @ u_zr.T
+    return dh
+
+
+def softmax(z: Array) -> tuple[Array, Array]:
+    """Row-wise softmax of (M, V) logits and each row's log partition
+    function; the row max is subtracted before exp."""
+    zmax = z.max(axis=1, keepdims=True)
+    expz = np.exp(z - zmax)
+    sumexp = expz.sum(axis=1)
+    return expz / sumexp[:, None], zmax[:, 0] + np.log(sumexp)
 
 
 def clip_rows_l1(x: Array, c: float) -> tuple[Array, Array, Array]:
@@ -187,8 +234,8 @@ class Node:
 
 
 class Tape:
-    """Records a computation graph; nodes are appended after their inputs,
-    so reversing creation order is a reverse topological order."""
+    """Records a computation graph; op nodes are appended after their
+    inputs, so reversing creation order is a reverse topological order."""
 
     def __init__(self):
         self.nodes: list[Node] = []
@@ -198,15 +245,18 @@ class Tape:
 
     def _push(self, value: Array, parents: tuple = (), vjps: tuple = (), name: str = "") -> Node:
         value = as_f64(value)
-        if not np.all(np.isfinite(value)):
-            raise NonFiniteError(f"non-finite result in op {name!r}")
+        require_finite(value, name)
         node = Node(value=value, parents=parents, vjps=vjps, name=name)
         self.nodes.append(node)
         return node
 
     def leaf(self, value, name: str = "") -> Node:
-        """Register an input or parameter value."""
-        return self._push(value, name=name or "leaf")
+        """Register an input or parameter value. Leaves are checked but not
+        recorded: backward() reaches them through the ops that use them."""
+        name = name or "leaf"
+        value = as_f64(value)
+        require_finite(value, name)
+        return Node(value=value, name=name)
 
     # -- primitives --------------------------------------------------------
 
@@ -236,25 +286,6 @@ class Tape:
             )
         raise ValueError(f"add shape mismatch: {a.shape} + {b.shape}")
 
-    def concat(self, parts: Sequence[Node], axis: int) -> Node:
-        if axis not in (0, 1):
-            raise ValueError("concat supports axis 0 or 1")
-        sizes = [p.shape[axis] for p in parts]
-        offsets = np.cumsum([0] + sizes)
-
-        def make_vjp(i):
-            lo, hi = offsets[i], offsets[i + 1]
-            if axis == 0:
-                return lambda g: g[lo:hi]
-            return lambda g: g[:, lo:hi]
-
-        return self._push(
-            np.concatenate([p.value for p in parts], axis=axis),
-            parents=tuple(parts),
-            vjps=tuple(make_vjp(i) for i in range(len(parts))),
-            name="concat",
-        )
-
     def row_select(self, table: Node, ids) -> Node:
         """Embedding lookup: rows of ``table`` at integer ``ids``."""
         ids = np.asarray(ids, dtype=np.int64)
@@ -269,20 +300,6 @@ class Tape:
             return out
 
         return self._push(table.value[ids], parents=(table,), vjps=(vjp,), name="row_select")
-
-    def where_rows(self, mask, a: Node, b: Node) -> Node:
-        """Per-row select: row i of ``a`` where mask[i] else row i of ``b``.
-        The mask is a constant, not a differentiable input."""
-        mask = np.asarray(mask, dtype=bool)
-        if a.shape != b.shape or mask.shape != (a.shape[0],):
-            raise ValueError("where_rows shape mismatch")
-        m = mask[:, None]
-        return self._push(
-            np.where(m, a.value, b.value),
-            parents=(a, b),
-            vjps=(lambda g: g * m, lambda g: g * (~m)),
-            name="where_rows",
-        )
 
     def clip_rows_l1(self, a: Node, c: float) -> Node:
         """Row-wise l1 clip (``clip_rows_l1`` above) as a tape op."""
@@ -300,40 +317,85 @@ class Tape:
 
         return self._push(out, parents=(a,), vjps=(vjp,), name="clip_rows_l1")
 
-    def gru_step(self, x: Node, h: Node, weights: Sequence[Node]) -> Node:
-        """One ``gru_cell`` step as a single node; ``weights`` are the (wz,
-        bz, wr, br, wh, bh) nodes. ``gru_cell_vjp`` runs once, and only if
-        backward() reaches the node: a forward-only pass computes no
-        gradients."""
-        if x.value.ndim != 2 or h.value.ndim != 2 or x.shape[0] != h.shape[0]:
-            raise ValueError(f"gru_step expects (B, E) and (B, H) inputs, got {x.shape}, {h.shape}")
-        e, hd = x.shape[1], h.shape[1]
+    def gru_pass(
+        self, x: Node, h0: Node, weights: Sequence[Node], mask=None, all_states: bool = False
+    ) -> Node:
+        """A GRU run over T steps as one node.
+
+        ``x`` holds every step's input, time-major (T * B, E); ``h0`` is the
+        (B, H) initial state and ``weights`` the (wz, bz, wr, br, wh, bh)
+        nodes. One GEMM projects all T * B inputs, then ``gru_cell`` runs
+        the hidden side step by step. Where the constant (T, B) ``mask`` is
+        False a row keeps its state (padding). The value is the final state,
+        or with ``all_states`` every step's state, time-major (T * B, H);
+        every state is checked for non-finite values either way.
+
+        The VJP runs once, and only if backward() reaches the node: back
+        through the steps with ``gru_cell_vjp``, then one GEMM each for the
+        input-side and both hidden-side weight gradients and for dx, over
+        all T * B rows.
+        """
+        if x.value.ndim != 2 or h0.value.ndim != 2 or x.shape[0] % h0.shape[0]:
+            raise ValueError(f"gru_pass expects (T*B, E) and (B, H) inputs, got {x.shape}, {h0.shape}")
+        (b, hd), e = h0.shape, x.shape[1]
+        steps = x.shape[0] // b
         if [w.shape for w in weights] != [(e + hd, hd), (hd,)] * 3:
-            raise ValueError("gru_step weight shapes do not match the inputs")
-        values = tuple(w.value for w in weights)
-        h_new, cache = gru_cell(x.value, h.value, values)
+            raise ValueError("gru_pass weight shapes do not match the inputs")
+        if mask is not None:
+            mask = np.asarray(mask, dtype=bool)
+            if mask.shape != (steps, b):
+                raise ValueError(f"gru_pass mask must be (T, B) = {(steps, b)}, got {mask.shape}")
+        wx, bias, u = split_gru_weights([w.value for w in weights])
+        xp = x.value @ wx
+        xp += bias
+        xp = xp.reshape(steps, b, 3 * hd)
+        hs = np.empty((steps + 1, b, hd))  # hs[t] enters step t
+        hs[0] = h0.value
+        caches = []
+        for t in range(steps):
+            h_new, cache = gru_cell(xp[t], hs[t], u)
+            hs[t + 1] = h_new if mask is None else np.where(mask[t][:, None], h_new, hs[t])
+            caches.append(cache)
+        require_finite(hs[1:], "gru_pass")
         grads: list = []
+
+        def backward(g):
+            u_zr = np.concatenate(u[:2], axis=1)
+            g_steps = g.reshape(steps, b, hd) if all_states else None
+            da = np.empty((steps, b, 3 * hd))
+            dh = np.zeros((b, hd)) if all_states else g
+            for t in reversed(range(steps)):
+                if all_states:
+                    dh = dh + g_steps[t]
+                if mask is None:
+                    dh = gru_cell_vjp(dh, hs[t], u_zr, u[2], caches[t], da[t])
+                else:
+                    keep = mask[t][:, None]
+                    dh = gru_cell_vjp(dh * keep, hs[t], u_zr, u[2], caches[t], da[t]) + dh * ~keep
+            da = da.reshape(steps * b, 3 * hd)
+            dwx = x.value.T @ da
+            db = da.sum(axis=0)
+            du_zr = hs[:-1].reshape(steps * b, hd).T @ da[:, : 2 * hd]
+            du_h = np.concatenate([c[1] for c in caches]).T @ da[:, 2 * hd :]
+            grads.extend([da @ wx.T, dh])
+            for k, du in enumerate((du_zr[:, :hd], du_zr[:, hd:], du_h)):
+                cols = slice(k * hd, (k + 1) * hd)
+                grads.extend([np.concatenate([dwx[:, cols], du]), db[cols]])
 
         def part(i):
             def vjp(g):
                 if not grads:
-                    grads.extend(gru_cell_vjp(g, h.value, values, cache))
+                    backward(g)
                 return grads[i]
 
             return vjp
 
-        parents = (x, x, h, h, h, *weights)
+        parents = (x, h0, *weights)
         return self._push(
-            h_new, parents=parents, vjps=tuple(part(i) for i in range(len(parents))), name="gru_step"
-        )
-
-    def sum_all(self, a: Node) -> Node:
-        shape = a.shape
-        return self._push(
-            a.value.sum(),
-            parents=(a,),
-            vjps=(lambda g: np.full(shape, float(g)),),
-            name="sum_all",
+            hs[1:].reshape(steps * b, hd) if all_states else hs[-1],
+            parents=parents,
+            vjps=tuple(part(i) for i in range(len(parents))),
+            name="gru_pass",
         )
 
     def softmax_cross_entropy(self, logits: Node, targets, ignore_id: int) -> Node:
@@ -353,17 +415,13 @@ class Tape:
         if checked.min() < 0 or checked.max() >= z.shape[1]:
             raise ValueError("softmax_cross_entropy target id out of range")
 
-        zmax = z.max(axis=1, keepdims=True)
-        expz = np.exp(z - zmax)
-        sumexp = expz.sum(axis=1)
-        log_z = zmax[:, 0] + np.log(sumexp)
+        probs, log_z = softmax(z)
         picked = z[np.arange(z.shape[0]), np.where(valid, targets, 0)]
         losses = log_z - picked
         loss = losses[valid].sum() / count
-        softmax = expz / sumexp[:, None]
 
         def vjp(g):
-            grad = softmax.copy()
+            grad = probs.copy()
             grad[np.arange(z.shape[0]), np.where(valid, targets, 0)] -= 1.0
             grad[~valid] = 0.0
             return grad * (float(g) / count)

@@ -9,6 +9,15 @@ The leak-audit oracle is the audit's original per-pair loop: every
 rewrite is scored against every pre-training document with a
 list-removal unigram F1. It shares only ``tokenize`` and the report type
 with the package.
+
+The GRU oracle is the autoencoder's original per-step path: a cell over
+the concatenated [x, h] with its single-step backward, one tape node per
+step, ``where_rows`` freezing PAD rows and the decoder's step logits
+concatenated. It shares the tape's leaf, matmul, add, row_select, clip
+and cross-entropy ops and ``sigmoid`` with the package.
+
+The classifier oracle is the tape the classifier trained with before its
+gradient was written by hand.
 """
 
 from __future__ import annotations
@@ -16,8 +25,11 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from dprw.corpus import Document, tokenize
+import numpy as np
+
+from dprw.corpus import EOS_ID, PAD_ID, SOS_ID, Document, tokenize
 from dprw.metrics import LeakReport
+from dprw.numcore import Tape, sigmoid
 
 
 def _ngram_list(tokens: list[str], n: int) -> list[tuple[str, ...]]:
@@ -189,3 +201,145 @@ MACRO_F1_HAND_CASES: list[tuple[list[str], list[str], list[str], Fraction]] = [
         Fraction(3, 4),
     ),
 ]
+
+
+# -- the per-step GRU path ---------------------------------------------------------
+
+GRU_NAMES = ("wz", "bz", "wr", "br", "wh", "bh")
+
+
+def gru_cell_concat(x, h, weights):
+    """One GRU step with each weight (E + H, H) applied to [x, h]."""
+    wz, bz, wr, br, wh, bh = weights
+    xh = np.concatenate([x, h], axis=1)
+    z = sigmoid(xh @ wz + bz)
+    r = sigmoid(xh @ wr + br)
+    xrh = np.concatenate([x, r * h], axis=1)
+    cand = np.tanh(xrh @ wh + bh)
+    one_minus_z = 1.0 - z
+    return one_minus_z * h + z * cand, (xh, z, r, xrh, cand, one_minus_z)
+
+
+def gru_cell_concat_vjp(g, h, weights, cache):
+    """(dx, dx, dh, dh, dh, dwz, dbz, dwr, dbr, dwh, dbh) of one step."""
+    wz, _, wr, _, wh, _ = weights
+    xh, z, r, xrh, cand, one_minus_z = cache
+    e = xh.shape[1] - h.shape[1]
+    d_z = g * cand - g * h
+    da_h = (g * z) * (1.0 - cand * cand)
+    dxrh = da_h @ wh.T
+    d_rh = dxrh[:, e:]
+    da_r = d_rh * h * r * (1.0 - r)
+    da_z = d_z * z * (1.0 - z)
+    dxh = da_r @ wr.T + da_z @ wz.T
+    return (
+        dxrh[:, :e], dxh[:, :e],
+        g * one_minus_z, d_rh * r, dxh[:, e:],
+        xh.T @ da_z, da_z.sum(axis=0),
+        xh.T @ da_r, da_r.sum(axis=0),
+        xrh.T @ da_h, da_h.sum(axis=0),
+    )
+
+
+class StepTape(Tape):
+    """The tape plus the per-step ops the sequence-level GRU replaced."""
+
+    def where_rows(self, mask, a, b):
+        m = np.asarray(mask, dtype=bool)[:, None]
+        return self._push(
+            np.where(m, a.value, b.value), parents=(a, b),
+            vjps=(lambda g: g * m, lambda g: g * (~m)), name="where_rows",
+        )
+
+    def concat_rows(self, parts):
+        offsets = np.cumsum([0] + [p.shape[0] for p in parts])
+        vjps = tuple((lambda lo, hi: lambda g: g[lo:hi])(offsets[i], offsets[i + 1]) for i in range(len(parts)))
+        return self._push(np.concatenate([p.value for p in parts]), parents=tuple(parts), vjps=vjps, name="concat")
+
+    def gru_step(self, x, h, weights):
+        values = tuple(w.value for w in weights)
+        h_new, cache = gru_cell_concat(x.value, h.value, values)
+        grads: list = []
+
+        def part(i):
+            def vjp(g):
+                if not grads:
+                    grads.extend(gru_cell_concat_vjp(g, h.value, values, cache))
+                return grads[i]
+
+            return vjp
+
+        parents = (x, x, h, h, h, *weights)
+        return self._push(h_new, parents=parents, vjps=tuple(part(i) for i in range(len(parents))), name="gru_step")
+
+
+def _side(params, side):
+    return tuple(params[f"{side}_{name}"] for name in GRU_NAMES)
+
+
+def build_loss_per_step(model, tape: StepTape, leaves: dict, batch):
+    """``Autoencoder.build_loss`` one GRU step per node."""
+    batch = np.asarray(batch)
+    b, t_len = batch.shape
+    enc, dec = _side(leaves, "enc"), _side(leaves, "dec")
+    h = tape.leaf(np.zeros((b, model.config.hidden_dim)), name="h0")
+    for t in range(t_len):
+        step = batch[:, t]
+        h = tape.where_rows(step != PAD_ID, tape.gru_step(tape.row_select(leaves["embedding"], step), h, enc), h)
+    h = tape.clip_rows_l1(h, model.config.clip_c)
+    step_logits = []
+    for t in range(t_len - 1):
+        h = tape.gru_step(tape.row_select(leaves["embedding"], batch[:, t]), h, dec)
+        step_logits.append(tape.add(tape.matmul(h, leaves["out_w"]), leaves["out_b"]))
+    targets = batch[:, 1:].T.reshape(-1)
+    return tape.softmax_cross_entropy(tape.concat_rows(step_logits), targets, ignore_id=PAD_ID)
+
+
+def loss_and_grads_per_step(model, batch):
+    """Loss and every parameter gradient from ``build_loss_per_step``."""
+    tape = StepTape()
+    leaves = {k: tape.leaf(v, name=k) for k, v in model.parameters.items()}
+    loss = build_loss_per_step(model, tape, leaves, batch)
+    tape.backward(loss)
+    return float(loss.value), {k: leaf.grad for k, leaf in leaves.items()}
+
+
+def encode_batch_per_step(model, ids):
+    """``Autoencoder.encode_batch`` with the concatenated cell."""
+    p = model.parameters
+    h = np.zeros((ids.shape[0], model.config.hidden_dim))
+    for step in np.asarray(ids).T:
+        h_new = gru_cell_concat(p["embedding"][step], h, _side(p, "enc"))[0]
+        h = np.where((step != PAD_ID)[:, None], h_new, h)
+    return h
+
+
+def decode_greedy_batch_per_step(model, latents):
+    """``Autoencoder.decode_greedy_batch`` with the concatenated cell."""
+    p = model.parameters
+    limit = model.config.max_len
+    out = []
+    for latent in np.asarray(latents):
+        h = latent[None, :]
+        token, content = SOS_ID, []
+        for _ in range(limit + 1):
+            h = gru_cell_concat(p["embedding"][[token]], h, _side(p, "dec"))[0]
+            token = int(np.argmax(h @ p["out_w"] + p["out_b"], axis=1)[0])
+            if token == EOS_ID:
+                break
+            content.append(token)
+        out.append([SOS_ID] + content[:limit] + [EOS_ID])
+    return out
+
+
+def classifier_grads_tape(params: dict, pooled, targets) -> dict:
+    """Gradients of the classifier's mean cross-entropy on one minibatch,
+    taken with the tape: (pooled @ embedding) @ out_w + out_b."""
+    tape = Tape()
+    leaves = {k: tape.leaf(v, name=k) for k, v in params.items()}
+    logits = tape.add(
+        tape.matmul(tape.matmul(tape.leaf(pooled, name="pooled"), leaves["embedding"]), leaves["out_w"]),
+        leaves["out_b"],
+    )
+    tape.backward(tape.softmax_cross_entropy(logits, targets, ignore_id=-1))
+    return {k: leaf.grad for k, leaf in leaves.items()}

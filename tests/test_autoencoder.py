@@ -1,8 +1,19 @@
 """GRU autoencoder: tape/numpy parity, training, and checkpoint format."""
 
+import math
+import re
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from oracles import (
+    decode_greedy_batch_per_step,
+    encode_batch_per_step,
+    loss_and_grads_per_step,
+)
 
+import dprw.autoencoder
 from dprw.autoencoder import (
     CHECKPOINT_MAGIC,
     Autoencoder,
@@ -10,7 +21,6 @@ from dprw.autoencoder import (
     CheckpointCorruptError,
     CheckpointShapeError,
     CheckpointVersionError,
-    _gru_weights,
     _parameter_shapes,
     load_checkpoint,
     pad_batch,
@@ -26,7 +36,10 @@ from dprw.corpus import (
     build_vocabulary,
     encode,
 )
-from dprw.numcore import AdamState, Rng, Tape, finite_difference_check
+from dprw.dpmech import PrivacyParams, privatize
+from dprw.numcore import AdamState, NonFiniteError, Rng, Tape, finite_difference_check
+from dprw.pipeline import EPSILON_LADDER
+from dprw.synth import FLIGHTS, make_corpus
 
 TINY = AutoencoderConfig(embed_dim=5, hidden_dim=7, max_len=6, epochs=2, batch_size=4)
 
@@ -112,19 +125,106 @@ def test_pad_rows_freeze_the_encoder_state():
 def test_tape_and_numpy_gru_agree():
     model = tiny_model()
     batch = doc_batch(model)
-    # numpy side
     h_np = model.encode_batch(batch)
-    # tape side: replay build_loss's encoder loop
+    # tape side: build_loss's encoder pass
     tape = Tape()
     leaves = {k: tape.leaf(v, name=k) for k, v in model.parameters.items()}
-    weights = _gru_weights(leaves, "enc")
-    h = tape.leaf(np.zeros((batch.shape[0], model.config.hidden_dim)))
-    for t in range(batch.shape[1]):
-        step = batch[:, t]
-        x = tape.row_select(leaves["embedding"], step)
-        h_new = tape.gru_step(x, h, weights)
-        h = tape.where_rows(step != PAD_ID, h_new, h)
-    np.testing.assert_array_equal(h.value, h_np)  # one GRU cell: bit-equal
+    steps = batch.T
+    h0 = tape.leaf(np.zeros((batch.shape[0], model.config.hidden_dim)))
+    x = tape.row_select(leaves["embedding"], steps.reshape(-1))
+    h = tape.gru_pass(x, h0, [leaves[f"enc_{k}"] for k in ("wz", "bz", "wr", "br", "wh", "bh")], mask=steps != PAD_ID)
+    # one GRU cell; the input projections are rows of different GEMMs
+    np.testing.assert_allclose(h.value, h_np, rtol=0, atol=1e-15)
+
+
+# -- the per-step oracle -----------------------------------------------------------
+
+
+def oracle_model(vocab_size: int, embed: int, hidden: int, clip_c: float, seed: int) -> Autoencoder:
+    docs = [Document(" ".join(f"w{i}" for i in range(vocab_size - 4)), "x")]
+    vocab = build_vocabulary(docs)
+    config = AutoencoderConfig(
+        vocab_size=len(vocab), embed_dim=embed, hidden_dim=hidden, max_len=6, clip_c=clip_c
+    )
+    return Autoencoder(config, vocab, rng=Rng(seed).derive("autoencoder"))
+
+
+def assert_close(actual, expected, rtol=1e-12):
+    """Every entry within rtol of the array's largest magnitude."""
+    scale = max(float(np.abs(expected).max()), 1e-300)
+    np.testing.assert_allclose(actual, expected, rtol=rtol, atol=rtol * scale)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    b=st.integers(1, 4),
+    t_len=st.integers(2, 5),
+    clip_c=st.sampled_from([1e-4, 1e3]),
+    seed=st.integers(0, 10_000),
+)
+@example(b=1, t_len=2, clip_c=1e-4, seed=0)
+@example(b=1, t_len=2, clip_c=1e3, seed=1)
+@example(b=3, t_len=5, clip_c=1e-4, seed=2)
+def test_build_loss_matches_the_per_step_oracle(b, t_len, clip_c, seed):
+    rng = Rng(seed)
+    model = oracle_model(9, 3, 4, clip_c, seed)
+    ids = rng.derive("ids").integers(1, 9, size=(b, t_len))
+    lengths = rng.derive("len").integers(2, t_len + 1, size=b)
+    lengths[0] = 2  # PAD from step 2 on
+    ids[np.arange(t_len)[None, :] >= lengths[:, None]] = PAD_ID
+    latents = model.encode_batch(ids)
+    norms = np.abs(latents).sum(axis=1)
+    assert np.all(norms > clip_c) if clip_c < 1 else np.all(norms < clip_c)
+
+    expected_loss, expected = loss_and_grads_per_step(model, ids)
+    tape = Tape()
+    leaves = {k: tape.leaf(v, name=k) for k, v in model.parameters.items()}
+    loss = model.build_loss(tape, leaves, ids)
+    tape.backward(loss)
+    assert math.isclose(float(loss.value), expected_loss, rel_tol=1e-12)
+    for name, grad in expected.items():
+        assert_close(leaves[name].grad, grad)
+
+
+def test_build_loss_is_one_node_per_pass():
+    model = tiny_model()
+    tape = Tape()
+    leaves = {k: tape.leaf(v, name=k) for k, v in model.parameters.items()}
+    model.build_loss(tape, leaves, doc_batch(model))
+    assert [n.name for n in tape.nodes] == [
+        "row_select", "gru_pass", "clip_rows_l1",
+        "row_select", "gru_pass", "matmul", "add", "softmax_cross_entropy",
+    ]
+
+
+@pytest.fixture(scope="module")
+def trained():
+    """A small model pre-trained on a fixed corpus, and that corpus's ids."""
+    ds = make_corpus(FLIGHTS, seed=4, train_size=40, val_size=0, test_size=0)
+    config = AutoencoderConfig(embed_dim=8, hidden_dim=12, max_len=12, epochs=15, batch_size=8)
+    model = Autoencoder.from_checkpoint(pretrain(ds, config, seed=4))
+    return model, pad_batch([encode(d, model.vocabulary, config.max_len) for d in ds.train])
+
+
+def test_encode_batch_matches_the_per_step_oracle(trained):
+    model, ids = trained
+    assert_close(model.encode_batch(ids), encode_batch_per_step(model, ids))
+
+
+@pytest.mark.parametrize("epsilon", EPSILON_LADDER)
+def test_decode_tokens_match_the_per_step_oracle(trained, epsilon):
+    model, ids = trained
+    privacy = PrivacyParams(epsilon=epsilon, clip_c=model.config.clip_c)
+    noisy = []
+    for latents in (model.encode_batch(ids), encode_batch_per_step(model, ids)):
+        rng = Rng(8)
+        noisy.append(np.stack([
+            privatize(row, privacy, None if privacy.non_private else rng.derive("doc", j))
+            for j, row in enumerate(latents)
+        ]))
+    decoded = model.decode_greedy_batch(noisy[0])
+    assert decoded == decode_greedy_batch_per_step(model, noisy[1])
+    assert len({tuple(d) for d in decoded}) > 1
 
 
 # -- decoding ----------------------------------------------------------------------
@@ -218,6 +318,36 @@ def test_pretrain_is_deterministic_and_respects_vocab_size():
         pretrain(ds, AutoencoderConfig(vocab_size=999, epochs=1), seed=1)
     with pytest.raises(ValueError):
         pretrain(LabeledDataset(train=[]), config, seed=1)
+
+
+def test_pretrain_names_the_failing_batch(monkeypatch):
+    # two batches per epoch; after the third update a parameter holds inf,
+    # so the leaf check of epoch 1, batch 1 fails
+    real = dprw.autoencoder.adam_step
+    updates = []
+
+    def poisoning(params, *args):
+        real(params, *args)
+        updates.append(1)
+        if len(updates) == 3:
+            params["dec_bh"][0] = np.inf
+
+    monkeypatch.setattr(dprw.autoencoder, "adam_step", poisoning)
+    ds = LabeledDataset(train=DOCS + DOCS[:1])
+    config = AutoencoderConfig(embed_dim=4, hidden_dim=5, max_len=6, epochs=3, batch_size=2)
+    with pytest.raises(NonFiniteError, match=re.escape("seed 7, epoch 1, batch 1: non-finite result in op 'dec_bh'")):
+        pretrain(ds, config, seed=7)
+    assert len(updates) == 3
+
+
+def test_train_step_drops_the_inference_tables():
+    model = tiny_model()
+    batch = doc_batch(model)
+    before = model.encode_batch(batch)
+    model.train_step(batch, AdamState.init(model.parameters))
+    after = model.encode_batch(batch)
+    assert not np.array_equal(before, after)
+    np.testing.assert_array_equal(after, Autoencoder(model.config, model.vocabulary, model.parameters).encode_batch(batch))
 
 
 def test_pretrain_memorizes_a_tiny_corpus():

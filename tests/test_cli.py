@@ -3,8 +3,10 @@
 import argparse
 import json
 
+import numpy as np
 import pytest
 
+import dprw.autoencoder
 from dprw.cli import (
     EXIT_CONFIG,
     EXIT_OK,
@@ -349,6 +351,25 @@ def test_pretrain_with_zero_epochs_exits_2_and_writes_no_report(workspace, tmp_p
     )
     assert code == EXIT_RUNTIME
     assert "epochs" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_pretrain_divergence_exits_2_naming_seed_epoch_and_batch(workspace, tmp_path, capsys, monkeypatch):
+    real = dprw.autoencoder.adam_step
+
+    def poisoning(params, *args):
+        real(params, *args)
+        params["out_w"][0, 0] = np.inf
+
+    monkeypatch.setattr(dprw.autoencoder, "adam_step", poisoning)
+    out = tmp_path / "pre"
+    code = main(
+        ["pretrain", "--train", str(workspace / "train.tsv"), "--out-dir", str(out),
+         "--seed", "4", "--batch-size", "8", *FAST_AE]
+    )
+    assert code == EXIT_RUNTIME
+    err = capsys.readouterr().err
+    assert "pre-training seed 4, epoch 0, batch 1: non-finite result in op 'out_w'" in err
     assert not out.exists()
 
 

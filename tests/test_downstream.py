@@ -4,6 +4,9 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import classifier_grads_tape
 
 import dprw.downstream
 from dprw.corpus import Document, build_vocabulary, collect_labels
@@ -15,7 +18,7 @@ from dprw.downstream import (
     train_classifier,
 )
 from dprw.metrics import macro_f1
-from dprw.numcore import Rng
+from dprw.numcore import NonFiniteError, Rng
 
 SEPARABLE_TRAIN = [
     Document("book a flight", "book"), Document("book the flight now", "book"),
@@ -157,3 +160,33 @@ def test_random_baseline_is_deterministic_per_stream():
     a = random_baseline(test, ["a", "b"], Rng(5).derive("rb"))
     b = random_baseline(test, ["a", "b"], Rng(5).derive("rb"))
     assert a == b
+
+
+def random_classifier(seed: int, vocab: int, dim: int, labels: int):
+    rng = Rng(seed)
+    model = dprw.downstream.ClassifierModel(
+        labels=[f"l{i}" for i in range(labels)],
+        embedding=rng.derive("e").normal(0.0, 1.0, (vocab, dim)),
+        out_w=rng.derive("w").normal(0.0, 1.0, (dim, labels)),
+        out_b=rng.derive("b").normal(0.0, 1.0, labels),
+    )
+    pooled = rng.derive("p").random((int(rng.derive("n").integers(1, 9)), vocab))
+    return model, pooled, rng.derive("t").integers(0, labels, len(pooled))
+
+
+@settings(max_examples=50, deadline=None)
+@given(seed=st.integers(0, 10_000), vocab=st.integers(1, 6), dim=st.integers(1, 5), labels=st.integers(2, 5))
+def test_minibatch_gradients_equal_the_tapes_bit_for_bit(seed, vocab, dim, labels):
+    model, pooled, targets = random_classifier(seed, vocab, dim, labels)
+    grads = dprw.downstream._gradients(model, pooled, targets)
+    expected = classifier_grads_tape(model.parameters(), pooled, targets)
+    assert set(grads) == set(expected)
+    for name, g in expected.items():
+        assert grads[name].tobytes() == g.tobytes(), name
+
+
+def test_non_finite_logits_raise():
+    model, pooled, targets = random_classifier(3, 4, 3, 2)
+    model.out_w[0, 0] = np.inf
+    with pytest.raises(NonFiniteError, match="classifier logits"):
+        dprw.downstream._gradients(model, pooled, targets)

@@ -16,6 +16,7 @@ from dprw.numcore import (
     finite_difference_check,
     gru_cell,
     sigmoid,
+    split_gru_weights,
 )
 
 # -- Rng -----------------------------------------------------------------------
@@ -91,7 +92,7 @@ def test_shape_mismatches_raise():
     with pytest.raises(ValueError):
         t.matmul(a, b)
     with pytest.raises(ValueError):
-        t.where_rows(np.array([True, False]), a, b)
+        t.softmax_cross_entropy(a, np.array([0]), ignore_id=-1)
     with pytest.raises(ValueError):
         t.add(a, b)
 
@@ -102,18 +103,18 @@ def test_non_finite_values_are_rejected():
         t.leaf(np.array([1.0, np.inf]))
 
 
+def test_leaves_are_checked_but_only_ops_are_recorded():
+    t = Tape()
+    a = t.leaf(np.ones((2, 2)), name="a")
+    assert t.nodes == [] and a.name == "a"
+    out = t.matmul(a, a)
+    assert t.nodes == [out]
+
+
 def test_sigmoid_is_stable_for_large_inputs():
     with np.errstate(over="raise"):
         out = sigmoid(np.array([-1e9, -1.0, 0.0, 1.0, 1e9]))
     np.testing.assert_allclose(out, [0.0, 1.0 / (1.0 + np.e), 0.5, 1.0 / (1.0 + np.exp(-1.0)), 1.0])
-
-
-def test_where_rows_selects_per_row():
-    t = Tape()
-    a = t.leaf(np.array([[1.0, 1.0], [2.0, 2.0]]))
-    b = t.leaf(np.array([[9.0, 9.0], [8.0, 8.0]]))
-    out = t.where_rows(np.array([True, False]), a, b)
-    np.testing.assert_array_equal(out.value, [[1.0, 1.0], [8.0, 8.0]])
 
 
 def test_row_select_gathers_rows():
@@ -123,16 +124,6 @@ def test_row_select_gathers_rows():
     np.testing.assert_array_equal(out.value, [[4.0, 5.0], [0.0, 1.0], [4.0, 5.0]])
     with pytest.raises(ValueError):
         t.row_select(table, [3])
-
-
-def test_concat_axis0_and_axis1():
-    t = Tape()
-    a = t.leaf(np.ones((2, 2)))
-    b = t.leaf(np.zeros((2, 2)))
-    assert t.concat([a, b], axis=0).shape == (4, 2)
-    assert t.concat([a, b], axis=1).shape == (2, 4)
-    with pytest.raises(ValueError):
-        t.concat([a, b], axis=2)
 
 
 def test_clip_rows_l1_function_validates_and_reports_scale():
@@ -193,12 +184,20 @@ def test_softmax_cross_entropy_all_ignored_raises():
 # -- tape backward semantics -----------------------------------------------------
 
 
+def _ce_grad(z, targets):
+    """d mean-CE / d logits, from a tape holding only the cross-entropy."""
+    t = Tape()
+    leaf = t.leaf(z)
+    t.backward(t.softmax_cross_entropy(leaf, targets, ignore_id=-1))
+    return leaf.grad
+
+
 def test_gradient_accumulates_across_consumers():
     t = Tape()
-    x = t.leaf(np.array([[2.0]]))
-    y = t.sum_all(t.add(x, x))  # d/dx (2x) = 2
-    t.backward(y)
-    np.testing.assert_allclose(x.grad, [[2.0]])
+    x = t.leaf(np.array([[2.0, -1.0]]))
+    t.backward(t.softmax_cross_entropy(t.add(x, x), np.array([0]), ignore_id=-1))
+    # both consumers of x pass on d/d(2x)
+    np.testing.assert_array_equal(x.grad, 2.0 * _ce_grad(np.array([[4.0, -2.0]]), np.array([0])))
 
 
 def test_backward_requires_scalar_and_runs_once():
@@ -206,7 +205,7 @@ def test_backward_requires_scalar_and_runs_once():
     x = t.leaf(np.ones((2, 2)))
     with pytest.raises(ValueError):
         t.backward(x)
-    s = t.sum_all(x)
+    s = t.softmax_cross_entropy(x, np.array([0, 1]), ignore_id=-1)
     t.backward(s)
     with pytest.raises(RuntimeError):
         t.backward(s)
@@ -214,10 +213,12 @@ def test_backward_requires_scalar_and_runs_once():
 
 def test_row_select_gradient_accumulates_duplicate_ids():
     t = Tape()
-    table = t.leaf(np.zeros((3, 2)))
+    table = t.leaf(np.array([[0.0, 1.0], [2.0, -1.0], [0.5, 0.5]]))
+    targets = np.array([0, 1, 1])
     picked = t.row_select(table, [1, 1, 2])
-    t.backward(t.sum_all(picked))
-    np.testing.assert_array_equal(table.grad, [[0.0, 0.0], [2.0, 2.0], [1.0, 1.0]])
+    t.backward(t.softmax_cross_entropy(picked, targets, ignore_id=-1))
+    g = _ce_grad(picked.value, targets)
+    np.testing.assert_array_equal(table.grad, [[0.0, 0.0], g[0] + g[1], g[2]])
 
 
 def _gradcheck(build, params, rtol=1e-4):
@@ -251,22 +252,63 @@ def gru_params(rng: Rng, e: int, h: int) -> dict:
     }
 
 
-def test_gru_step_forward_is_gru_cell():
+def gru_inputs(rng: Rng, steps: int, b: int, e: int, h: int):
+    x = rng.derive("x").normal(0.0, 1.0, (steps * b, e))
+    h0 = rng.derive("h0").normal(0.0, 0.5, (b, h))
+    return x, h0, gru_params(rng, e, h)
+
+
+def test_gru_pass_forward_is_gru_cell():
     rng = Rng(15)
-    w = gru_params(rng, 3, 4)
-    x = rng.derive("x").normal(0.0, 1.0, (2, 3))
-    h = rng.derive("h").normal(0.0, 1.0, (2, 4))
+    x, h0, w = gru_inputs(rng, 3, 2, 3, 4)
+    mask = np.array([[True, True], [True, False], [False, False]])
+    wx, bias, u = split_gru_weights([w[k] for k in GRU_GATES])
+    xp = x @ wx
+    xp += bias
+    xp = xp.reshape(3, 2, 12)
+    h, states = h0, []
+    for step in range(3):
+        h = np.where(mask[step][:, None], gru_cell(xp[step], h, u)[0], h)
+        states.append(h)
+    np.testing.assert_array_equal(states[2][1], states[0][1])  # PAD rows keep their state
+    for all_states, expected in ((False, h), (True, np.concatenate(states))):
+        t = Tape()
+        out = t.gru_pass(t.leaf(x), t.leaf(h0), [t.leaf(w[k]) for k in GRU_GATES], mask=mask, all_states=all_states)
+        assert out.value.tobytes() == expected.tobytes()
+
+
+def test_gru_pass_checks_shapes():
+    rng = Rng(15)
+    x, h0, w = gru_inputs(rng, 3, 2, 3, 4)
     t = Tape()
-    out = t.gru_step(t.leaf(x), t.leaf(h), [t.leaf(w[k]) for k in GRU_GATES])
-    expected, _ = gru_cell(x, h, [w[k] for k in GRU_GATES])
-    assert out.value.tobytes() == expected.tobytes()
+    weights = [t.leaf(w[k]) for k in GRU_GATES]
     with pytest.raises(ValueError):
-        t.gru_step(t.leaf(x), t.leaf(h[:1]), [t.leaf(w[k]) for k in GRU_GATES])
+        t.gru_pass(t.leaf(x[:5]), t.leaf(h0), weights)
     with pytest.raises(ValueError):
-        t.gru_step(t.leaf(h), t.leaf(h), [t.leaf(w[k]) for k in GRU_GATES])
+        t.gru_pass(t.leaf(h0), t.leaf(h0), weights)
+    with pytest.raises(ValueError):
+        t.gru_pass(t.leaf(x), t.leaf(h0), weights, mask=np.ones((2, 2), dtype=bool))
 
 
-def test_gru_step_gradients_are_computed_lazily_and_once(monkeypatch):
+def test_gru_pass_checks_every_state(monkeypatch):
+    real = dprw.numcore.gru_cell
+    calls = []
+
+    def poisoned(xp, h, u):
+        h_new, cache = real(xp, h, u)
+        calls.append(1)
+        if len(calls) == 2:
+            h_new[0, 0] = np.nan
+        return h_new, cache
+
+    monkeypatch.setattr(dprw.numcore, "gru_cell", poisoned)
+    x, h0, w = gru_inputs(Rng(15), 3, 2, 3, 4)
+    t = Tape()
+    with pytest.raises(NonFiniteError, match="gru_pass"):
+        t.gru_pass(t.leaf(x), t.leaf(h0), [t.leaf(w[k]) for k in GRU_GATES])
+
+
+def test_gru_pass_gradients_are_computed_lazily_and_once(monkeypatch):
     calls = []
     real = dprw.numcore.gru_cell_vjp
 
@@ -275,39 +317,35 @@ def test_gru_step_gradients_are_computed_lazily_and_once(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(dprw.numcore, "gru_cell_vjp", counting)
-    rng = Rng(16)
-    w = gru_params(rng, 2, 3)
+    x, h0, w = gru_inputs(Rng(16), 3, 2, 2, 3)
     t = Tape()
-    h = t.gru_step(
-        t.leaf(rng.derive("x").normal(0.0, 1.0, (2, 2))),
-        t.leaf(np.zeros((2, 3))),
-        [t.leaf(w[k]) for k in GRU_GATES],
-    )
-    loss = t.softmax_cross_entropy(h, np.array([0, 2]), ignore_id=-1)
+    states = t.gru_pass(t.leaf(x), t.leaf(h0), [t.leaf(w[k]) for k in GRU_GATES], all_states=True)
+    loss = t.softmax_cross_entropy(states, np.array([0, 2, 1, 1, 2, 0]), ignore_id=-1)
     assert calls == []  # a forward-only evaluation computes no gradients
     t.backward(loss)
-    assert calls == [1]
+    assert calls == [1, 1, 1]  # one backward step per time step, for all eight parents
 
 
-def test_gradcheck_gru_step_with_pad_rows():
-    # two encoder-style steps: row 1 is PAD at step 0 and row 2 at step 1,
-    # so where_rows freezes their state and h feeds both GRU steps
+def test_gradcheck_gru_pass_with_pad_rows():
+    # an encoder pass (row 1 is PAD at step 0, row 2 from step 1 on, so
+    # their state freezes) feeds a decoder pass that returns every state
     rng = Rng(12)
     params = {
         "table": rng.derive("table").normal(0.0, 1.0, (5, 3)),
         "h0": rng.derive("h0").normal(0.0, 0.5, (3, 4)),
         "out_w": rng.derive("out_w").normal(0.0, 1.0, (4, 5)),
         **gru_params(rng, 3, 4),
+        **{f"dec_{k}": v for k, v in gru_params(rng.derive("dec"), 3, 4).items()},
     }
-    ids = np.array([[1, 0, 4], [2, 3, 0]])
-    targets = np.array([4, 0, 2])
+    ids = np.array([[1, 0, 4], [2, 3, 0], [4, 1, 0]])
+    targets = np.array([4, 0, 2, 1, -1, 3])
 
     def build(t, lv):
-        w = [lv[k] for k in GRU_GATES]
-        h = lv["h0"]
-        for step in ids:
-            h = t.where_rows(step != 0, t.gru_step(t.row_select(lv["table"], step), h, w), h)
-        return t.softmax_cross_entropy(t.matmul(h, lv["out_w"]), targets, ignore_id=-1)
+        x = t.row_select(lv["table"], ids.reshape(-1))
+        h = t.gru_pass(x, lv["h0"], [lv[k] for k in GRU_GATES], mask=ids != 0)
+        x_dec = t.row_select(lv["table"], ids[:2].reshape(-1))
+        states = t.gru_pass(x_dec, h, [lv[f"dec_{k}"] for k in GRU_GATES], all_states=True)
+        return t.softmax_cross_entropy(t.matmul(states, lv["out_w"]), targets, ignore_id=-1)
 
     _gradcheck(build, params)
 
@@ -332,18 +370,13 @@ def test_gradcheck_cross_entropy_with_ignored_rows():
     )
 
 
-def test_gradcheck_where_rows_and_row_select():
+def test_gradcheck_row_select():
     rng = Rng(14)
-    params = {
-        "table": rng.derive("t").normal(0.0, 1.0, (4, 3)),
-        "h": rng.derive("h").normal(0.0, 1.0, (3, 3)),
-    }
-    mask = np.array([True, False, True])
+    params = {"table": rng.derive("t").normal(0.0, 1.0, (4, 3))}
 
     def build(t, lv):
-        rows = t.row_select(lv["table"], [0, 2, 1])
-        kept = t.where_rows(mask, rows, lv["h"])
-        return t.softmax_cross_entropy(kept, np.array([2, 0, 1]), ignore_id=-1)
+        rows = t.row_select(lv["table"], [0, 2, 1, 2])
+        return t.softmax_cross_entropy(rows, np.array([2, 0, 1, 1]), ignore_id=-1)
 
     _gradcheck(build, params)
 
@@ -353,17 +386,20 @@ def test_gradcheck_where_rows_and_row_select():
 def test_gradcheck_random_two_layer_models(seed):
     rng = Rng(seed).derive("prop")
     dims = [int(d) for d in rng.derive("dims").integers(2, 5, size=3)]
+    steps = int(rng.derive("steps").integers(1, 4))
+    all_states = bool(rng.derive("all").integers(0, 2))
+    mask = rng.derive("mask").random((steps, 2)) < 0.7
     params = {
-        "x": rng.derive("x").normal(0.0, 1.0, (2, dims[0])),
+        "x": rng.derive("x").normal(0.0, 1.0, (steps * 2, dims[0])),
         "h": rng.derive("h").normal(0.0, 1.0, (2, dims[1])),
         "w2": rng.derive("w2").normal(0.0, 1.0, (dims[1], dims[2])),
         "b": rng.derive("b").normal(0.0, 1.0, dims[2]),
         **gru_params(rng.derive("gru"), dims[0], dims[1]),
     }
-    targets = np.array([0, dims[2] - 1])
+    targets = np.tile([0, dims[2] - 1], steps if all_states else 1)
 
     def build(t, lv):
-        hidden = t.gru_step(lv["x"], lv["h"], [lv[k] for k in GRU_GATES])
+        hidden = t.gru_pass(lv["x"], lv["h"], [lv[k] for k in GRU_GATES], mask=mask, all_states=all_states)
         logits = t.add(t.matmul(hidden, lv["w2"]), lv["b"])
         return t.softmax_cross_entropy(logits, targets, ignore_id=-1)
 
