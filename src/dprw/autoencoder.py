@@ -61,8 +61,8 @@ class AutoencoderConfig:
                 raise ValueError(f"{name} must be positive")
         if self.epochs < 0:
             raise ValueError("epochs must be non-negative")
-        if not self.learning_rate > 0:
-            raise ValueError("learning_rate must be positive")
+        if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError("learning_rate must be positive and finite")
         if not (np.isfinite(self.clip_c) and self.clip_c > 0):
             raise ValueError("clip_c must be positive and finite")
 

@@ -2,10 +2,11 @@
 
 Five subcommands: pretrain, rewrite, downstream, case-study, and
 validate-dp. Options can come from flags or from a JSON config file
-(``--config``) whose keys are the long flag names with underscores;
-explicit flags win. ``DPRW_SEED`` is the fallback seed when neither
-source names one. Exit codes: 0 success, 1 configuration or usage
-error, 2 runtime failure.
+(``--config``) whose keys are the flags' dests (long flag names with
+underscores); each value is parsed exactly as its flag is, and explicit
+flags win. ``DPRW_SEED`` is the fallback seed when neither source names
+one. Exit codes: 0 success, 1 configuration or usage error, 2 runtime
+failure.
 """
 
 from __future__ import annotations
@@ -29,20 +30,27 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_RUNTIME = 2
 
+_AUDIT_DIM = 128
+_AUDIT_TRIALS = 100_000
+
 
 class CliError(Exception):
     """Configuration mistake; reported on stderr with exit code 1."""
 
 
 class _UsageError(CliError):
-    """Bad flags or subcommand; carries the usage text."""
+    """Bad flags or subcommand; ``usage`` is the parser's usage text."""
+
+    def __init__(self, message: str, usage: str):
+        super().__init__(message)
+        self.usage = usage
 
 
 class _Parser(argparse.ArgumentParser):
     # argparse exits with code 2 on usage errors; the contract here
     # reserves 2 for runtime failures, so remap through an exception.
     def error(self, message: str):
-        raise _UsageError(f"{self.format_usage()}error: {message}")
+        raise _UsageError(message, self.format_usage())
 
 
 def parse_epsilon(value) -> float:
@@ -64,10 +72,36 @@ def parse_epsilon(value) -> float:
 
 # -- flag definitions ----------------------------------------------------------
 
+# (dest, config field, help): the flag is --<dest with dashes> and takes
+# the type and the default of the field it sets
+_AUTOENCODER_FLAGS = (
+    ("epochs", "epochs", "pre-training epochs"),
+    ("lr", "learning_rate", "pre-training learning rate"),
+    ("clip", "clip_c", "latent l1 clip radius C"),
+    ("max_len", "max_len", "token truncation length"),
+    ("embed_dim", "embed_dim", "embedding width"),
+    ("hidden_dim", "hidden_dim", "GRU state width"),
+    ("batch_size", "batch_size", "minibatch size"),
+)
+_CLASSIFIER_FLAGS = (
+    ("clf_epochs", "epochs", "classifier epochs"),
+    ("clf_lr", "learning_rate", "classifier learning rate"),
+    ("clf_embed_dim", "embed_dim", "classifier embedding width"),
+)
+
+
+def _flag(dest: str) -> str:
+    return "--" + dest.replace("_", "-")
+
+
+def _add_config_flags(sub: argparse.ArgumentParser, cls: type, table: tuple) -> None:
+    for dest, field, text in table:
+        default = getattr(cls, field)
+        sub.add_argument(_flag(dest), dest=dest, type=type(default), help=f"{text} (default {default})")
+
 
 def _add_common(sub: argparse.ArgumentParser, default_out: str, jobs: bool = True) -> None:
-    """Flags every subcommand shares; call it last, since it records the
-    config-file keys the subcommand accepts: its flags' dests."""
+    """Flags every subcommand shares."""
     sub.add_argument("--config", help="JSON config file; flags override its values")
     sub.add_argument("--out-dir", dest="out_dir", help=f"report directory (default {default_out})")
     sub.add_argument(
@@ -78,27 +112,9 @@ def _add_common(sub: argparse.ArgumentParser, default_out: str, jobs: bool = Tru
         f"(default DPRW_SEED or {list(DEFAULT_SEEDS)})",
     )
     if jobs:
-        sub.add_argument("--jobs", type=int, help="parallel worker processes (default 1)")
-    config_keys = {action.dest for action in sub._actions} - {"help", "config"}
-    sub.set_defaults(default_out=default_out, config_keys=frozenset(config_keys))
-
-
-def _add_autoencoder_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--epochs", type=int, help="pre-training epochs (default 200)")
-    sub.add_argument("--lr", type=float, help="pre-training learning rate (default 0.003)")
-    sub.add_argument("--clip", type=float, help="latent l1 clip radius C (default 5)")
-    sub.add_argument("--max-len", dest="max_len", type=int, help="token truncation length (default 20)")
-    sub.add_argument("--embed-dim", dest="embed_dim", type=int, help="embedding width (default 64)")
-    sub.add_argument("--hidden-dim", dest="hidden_dim", type=int, help="GRU state width (default 128)")
-    sub.add_argument("--batch-size", dest="batch_size", type=int, help="minibatch size (default 32)")
-
-
-def _add_classifier_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--clf-epochs", dest="clf_epochs", type=int, help="classifier epochs (default 30)")
-    sub.add_argument("--clf-lr", dest="clf_lr", type=float, help="classifier learning rate (default 0.01)")
-    sub.add_argument(
-        "--clf-embed-dim", dest="clf_embed_dim", type=int, help="classifier embedding width (default 64)"
-    )
+        default = ExperimentConfig.jobs
+        sub.add_argument("--jobs", type=int, help=f"parallel worker processes (default {default})")
+    sub.set_defaults(default_out=default_out, parser=sub)
 
 
 def build_parser() -> _Parser:
@@ -108,7 +124,7 @@ def build_parser() -> _Parser:
     p = commands.add_parser("pretrain", help="train the autoencoder and save a checkpoint")
     p.add_argument("--train", help="training split TSV")
     p.add_argument("--out", help="checkpoint output path (default <out-dir>/checkpoint.bin)")
-    _add_autoencoder_flags(p)
+    _add_config_flags(p, AutoencoderConfig, _AUTOENCODER_FLAGS)
     _add_common(p, "runs/pretrain")
 
     p = commands.add_parser("rewrite", help="privatize a corpus through a checkpoint")
@@ -127,22 +143,23 @@ def build_parser() -> _Parser:
     p.add_argument("--train", help="training split TSV (typically rewritten)")
     p.add_argument("--val", help="validation split TSV")
     p.add_argument("--test", help="original test split TSV")
-    _add_classifier_flags(p)
+    _add_config_flags(p, ClassifierConfig, _CLASSIFIER_FLAGS)
     _add_common(p, "runs/downstream")
 
     p = commands.add_parser("case-study", help="full pretrain/rewrite/downstream matrix over two corpora")
     p.add_argument("--dataset-a", dest="dataset_a", help="directory with train/validation/test TSVs")
     p.add_argument("--dataset-b", dest="dataset_b", help="directory with train/validation/test TSVs")
-    p.add_argument("--leak-margin", dest="leak_margin", type=float, help="audit flag margin (default 0.1)")
-    _add_autoencoder_flags(p)
-    _add_classifier_flags(p)
+    margin = ExperimentConfig.leak_margin
+    p.add_argument("--leak-margin", dest="leak_margin", type=float, help=f"audit flag margin (default {margin})")
+    _add_config_flags(p, AutoencoderConfig, _AUTOENCODER_FLAGS)
+    _add_config_flags(p, ClassifierConfig, _CLASSIFIER_FLAGS)
     _add_common(p, "runs/case-study")
 
     p = commands.add_parser("validate-dp", help="randomized audit of the privacy bound")
     p.add_argument("--epsilon", help="privacy budget to audit; must be finite")
-    p.add_argument("--clip", type=float, help="latent l1 clip radius C (default 5)")
-    p.add_argument("--dim", type=int, help="latent dimension (default 128)")
-    p.add_argument("--trials", type=int, help="number of random triples (default 100000)")
+    p.add_argument("--clip", type=float, help=f"latent l1 clip radius C (default {AutoencoderConfig.clip_c})")
+    p.add_argument("--dim", type=int, help=f"latent dimension (default {_AUDIT_DIM})")
+    p.add_argument("--trials", type=int, help=f"number of random triples (default {_AUDIT_TRIALS})")
     p.add_argument("--noise-scale", dest="noise_scale", type=float, help=argparse.SUPPRESS)
     _add_common(p, ".", jobs=False)
 
@@ -151,138 +168,104 @@ def build_parser() -> _Parser:
 
 # -- config resolution ---------------------------------------------------------
 
-def _load_config_file(path: str | None, command: str, keys: frozenset[str]) -> dict:
-    if path is None:
-        return {}
+
+def _parse_config_file(ns: argparse.Namespace) -> argparse.Namespace:
+    """Parse the config file as more flags for the subcommand: each key is
+    a dest and each value becomes ``--flag=value``. null means unset, and
+    only an append option (``seed``) takes a list."""
+    where = f"config file {ns.config}"
     try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
+        data = json.loads(Path(ns.config).read_text(encoding="utf-8"))
     except OSError as exc:
-        raise CliError(f"cannot read config file: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise CliError(f"config file is not valid JSON: {exc}") from None
+        raise CliError(f"{where}: cannot read it: {exc.strerror}") from None
+    except ValueError as exc:
+        raise CliError(f"{where}: not valid JSON: {exc}") from None
     if not isinstance(data, dict):
-        raise CliError("config file must hold a JSON object")
-    unknown = sorted(set(data) - keys)
+        raise CliError(f"{where}: must hold a JSON object")
+    options = {a.dest: a for a in ns.parser._actions if a.dest not in ("help", "config")}
+    unknown = sorted(set(data) - set(options))
     if unknown:
-        raise CliError(f"unknown config keys for {command}: {', '.join(unknown)}")
-    return data
-
-
-class _Options:
-    """Flag values with config-file fallback; flags always win."""
-
-    def __init__(self, ns: argparse.Namespace, file_values: dict):
-        self._ns = ns
-        self._file = file_values
-
-    def get(self, key: str, default=None):
-        flag = getattr(self._ns, key, None)
-        if flag is not None:
-            return flag
-        if key in self._file and self._file[key] is not None:
-            return self._file[key]
-        return default
-
-    def require(self, key: str, flag_name: str):
-        value = self.get(key)
+        raise CliError(f"{where}: unknown config keys for {ns.command}: {', '.join(unknown)}")
+    argv = []
+    for key, value in data.items():
         if value is None:
-            raise CliError(f"missing required option --{flag_name}")
-        return value
-
-    def seeds(self) -> list[int] | None:
-        if self._ns.seed:
-            return list(self._ns.seed)
-        if "seed" in self._file and self._file["seed"] is not None:
-            raw = self._file["seed"]
-            values = raw if isinstance(raw, list) else [raw]
-            try:
-                return [int(v) for v in values]
-            except (TypeError, ValueError):
-                raise CliError("config key 'seed' must be an integer or list of integers") from None
-        env = os.environ.get("DPRW_SEED")
-        if env is not None:
-            try:
-                return [int(env)]
-            except ValueError:
-                raise CliError(f"DPRW_SEED must be an integer, got {env!r}") from None
-        return None
-
-
-def _int_option(opts: _Options, key: str, minimum: int | None = None):
-    value = opts.get(key)
-    if value is None:
-        return None
+            continue
+        action = options[key]
+        many = isinstance(action, argparse._AppendAction)
+        items = value if many and isinstance(value, list) else [value]
+        if not items or not all(isinstance(v, (int, float, str)) and not isinstance(v, bool) for v in items):
+            what = "a number, a string or null"
+            if many:
+                what += ", or a non-empty list of numbers or strings"
+            raise CliError(f"{where}: key {key!r} must be {what}")
+        argv += [f"{action.option_strings[0]}={v}" for v in items]
     try:
-        value = int(value)
-    except (TypeError, ValueError):
-        raise CliError(f"option {key} must be an integer") from None
-    if minimum is not None and value < minimum:
-        raise CliError(f"option {key} must be at least {minimum}")
+        return ns.parser.parse_args(argv)
+    except _UsageError as exc:
+        raise CliError(f"{where}: {exc}") from None
+
+
+def _parse(argv: list[str] | None) -> argparse.Namespace:
+    """Flags, then the config file's value for each option the flags left unset."""
+    ns = build_parser().parse_args(argv)
+    if ns.config is not None:
+        for dest, value in vars(_parse_config_file(ns)).items():
+            if getattr(ns, dest) is None:
+                setattr(ns, dest, value)
+    if ns.out_dir is None:
+        ns.out_dir = ns.default_out
+    return ns
+
+
+def _require(ns: argparse.Namespace, dest: str):
+    value = getattr(ns, dest)
+    if value is None:
+        raise CliError(f"missing required option {_flag(dest)}")
     return value
 
 
-def _float_option(opts: _Options, key: str):
-    value = opts.get(key)
-    if value is None:
-        return None
+def _seeds(ns: argparse.Namespace) -> list[int] | None:
+    if ns.seed:
+        return ns.seed
+    env = os.environ.get("DPRW_SEED")
+    if env is not None:
+        try:
+            return [int(env)]
+        except ValueError:
+            raise CliError(f"DPRW_SEED must be an integer, got {env!r}") from None
+    return None
+
+
+def _set(**values) -> dict:
+    """The values that are set; an unset one keeps its dataclass default."""
+    return {key: value for key, value in values.items() if value is not None}
+
+
+def _config(cls: type, table: tuple, ns: argparse.Namespace):
+    """``cls`` from the options in ``table``; a refused value names its flag."""
     try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise CliError(f"option {key} must be a number") from None
+        return cls(**_set(**{field: getattr(ns, dest) for dest, field, _ in table}))
+    except ValueError as exc:
+        flags = [_flag(dest) for dest, field, _ in table if field in str(exc)]
+        raise CliError(f"{', '.join(flags)}: {exc}") from None
 
 
-def _autoencoder_config(opts: _Options) -> AutoencoderConfig:
-    kwargs = {}
-    for key, field_name, cast in (
-        ("epochs", "epochs", _int_option),
-        ("lr", "learning_rate", _float_option),
-        ("clip", "clip_c", _float_option),
-        ("max_len", "max_len", _int_option),
-        ("embed_dim", "embed_dim", _int_option),
-        ("hidden_dim", "hidden_dim", _int_option),
-        ("batch_size", "batch_size", _int_option),
-    ):
-        value = cast(opts, key)
-        if value is not None:
-            kwargs[field_name] = value
-    return AutoencoderConfig(**kwargs)
-
-
-def _classifier_config(opts: _Options) -> ClassifierConfig:
-    kwargs = {}
-    for key, field_name, cast in (
-        ("clf_epochs", "epochs", _int_option),
-        ("clf_lr", "learning_rate", _float_option),
-        ("clf_embed_dim", "embed_dim", _int_option),
-    ):
-        value = cast(opts, key)
-        if value is not None:
-            kwargs[field_name] = value
-    return ClassifierConfig(**kwargs)
-
-
-def _experiment_config(ns: argparse.Namespace, opts: _Options) -> ExperimentConfig:
-    common = {
-        "out_dir": opts.get("out_dir", ns.default_out),
-        "jobs": _int_option(opts, "jobs") or 1,
-    }
-    seeds = opts.seeds()
-    if seeds is not None:
-        common["seeds"] = seeds
+def _experiment_config(ns: argparse.Namespace) -> ExperimentConfig:
+    common = _set(out_dir=ns.out_dir, jobs=ns.jobs, seeds=_seeds(ns))
     try:
         if ns.command == "pretrain":
             return ExperimentConfig(
                 mode="pretrain",
-                train_path=opts.require("train", "train"),
-                checkpoint_out=opts.get("out"),
-                autoencoder=_autoencoder_config(opts),
+                train_path=_require(ns, "train"),
+                checkpoint_out=ns.out,
+                autoencoder=_config(AutoencoderConfig, _AUTOENCODER_FLAGS, ns),
                 **common,
             )
         if ns.command == "rewrite":
-            checkpoint = opts.require("checkpoint", "checkpoint")
-            train = opts.require("train", "train")
-            epsilon = parse_epsilon(opts.require("epsilon", "epsilon"))
-            clip = _float_option(opts, "clip")
+            checkpoint = _require(ns, "checkpoint")
+            train = _require(ns, "train")
+            epsilon = parse_epsilon(_require(ns, "epsilon"))
+            clip = ns.clip
             if clip is None:
                 # a CheckpointError is no ValueError, so an unreadable
                 # checkpoint still exits 2, as when run_rewrite loads it
@@ -291,28 +274,27 @@ def _experiment_config(ns: argparse.Namespace, opts: _Options) -> ExperimentConf
                 mode="rewrite",
                 checkpoint_in=checkpoint,
                 train_path=train,
-                validation_path=opts.get("val"),
+                validation_path=ns.val,
                 privacy=PrivacyParams(epsilon=epsilon, clip_c=clip),
                 **common,
             )
         if ns.command == "downstream":
             return ExperimentConfig(
                 mode="downstream",
-                train_path=opts.require("train", "train"),
-                validation_path=opts.get("val"),
-                test_path=opts.require("test", "test"),
-                classifier=_classifier_config(opts),
+                train_path=_require(ns, "train"),
+                validation_path=ns.val,
+                test_path=_require(ns, "test"),
+                classifier=_config(ClassifierConfig, _CLASSIFIER_FLAGS, ns),
                 **common,
             )
         if ns.command == "case-study":
-            margin = _float_option(opts, "leak_margin")
             return ExperimentConfig(
                 mode="case_study",
-                dataset_a=opts.require("dataset_a", "dataset-a"),
-                dataset_b=opts.require("dataset_b", "dataset-b"),
-                autoencoder=_autoencoder_config(opts),
-                classifier=_classifier_config(opts),
-                leak_margin=margin if margin is not None else 0.1,
+                dataset_a=_require(ns, "dataset_a"),
+                dataset_b=_require(ns, "dataset_b"),
+                autoencoder=_config(AutoencoderConfig, _AUTOENCODER_FLAGS, ns),
+                classifier=_config(ClassifierConfig, _CLASSIFIER_FLAGS, ns),
+                **_set(leak_margin=ns.leak_margin),
                 **common,
             )
     except ValueError as exc:
@@ -323,20 +305,21 @@ def _experiment_config(ns: argparse.Namespace, opts: _Options) -> ExperimentConf
 # -- validate-dp ---------------------------------------------------------------
 
 
-def _run_validate_dp(ns: argparse.Namespace, opts: _Options) -> int:
-    epsilon = parse_epsilon(opts.require("epsilon", "epsilon"))
+def _run_validate_dp(ns: argparse.Namespace) -> int:
+    epsilon = parse_epsilon(_require(ns, "epsilon"))
     if math.isinf(epsilon):
         raise CliError("epsilon is infinite; nothing to verify")
-    clip = _float_option(opts, "clip")
-    clip = clip if clip is not None else 5.0
-    dim = _int_option(opts, "dim", minimum=1)
-    dim = dim if dim is not None else 128
-    trials = _int_option(opts, "trials")
-    trials = trials if trials is not None else 100_000
+    clip = AutoencoderConfig.clip_c if ns.clip is None else ns.clip
+    dim = _AUDIT_DIM if ns.dim is None else ns.dim
+    trials = _AUDIT_TRIALS if ns.trials is None else ns.trials
+    noise_scale = ns.noise_scale
+    if dim < 1:
+        raise CliError("dim must be at least 1")
     if trials < 1:
         raise CliError("trials must be positive")
-    noise_scale = _float_option(opts, "noise_scale")
-    seeds = opts.seeds()
+    if noise_scale is not None and not (math.isfinite(noise_scale) and noise_scale > 0):
+        raise CliError("noise_scale must be positive and finite")
+    seeds = _seeds(ns)
     if seeds and len(seeds) > 1:
         raise CliError(f"validate-dp takes one seed, got {len(seeds)}: {seeds}")
     seed = seeds[0] if seeds else DEFAULT_SEEDS[0]
@@ -349,8 +332,7 @@ def _run_validate_dp(ns: argparse.Namespace, opts: _Options) -> int:
         params, dim, trials, Rng(seed).derive("validate-dp"), noise_scale=noise_scale
     )
 
-    out = Path(opts.get("out_dir", ns.default_out))
-    out.mkdir(parents=True, exist_ok=True)
+    out = Path(ns.out_dir)
     resolved = {
         "command": "validate-dp",
         "epsilon": epsilon_repr(epsilon),
@@ -369,8 +351,14 @@ def _run_validate_dp(ns: argparse.Namespace, opts: _Options) -> int:
         "tightness": report.tightness,
         "ok": report.ok,
     }
-    (out / "config_resolved.json").write_text(json.dumps(resolved, indent=2, sort_keys=True) + "\n")
-    (out / "report.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    # serialize both before writing either, so a non-finite value writes nothing
+    texts = {
+        name: json.dumps(data, indent=2, sort_keys=True, allow_nan=False) + "\n"
+        for name, data in (("config_resolved.json", resolved), ("report.json", payload))
+    }
+    out.mkdir(parents=True, exist_ok=True)
+    for name, text in texts.items():
+        (out / name).write_text(text)
 
     print(f"epsilon bound:      {epsilon_repr(epsilon)}")
     print(f"clip radius:        {clip}")
@@ -386,20 +374,16 @@ def _run_validate_dp(ns: argparse.Namespace, opts: _Options) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        ns = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(exc, file=sys.stderr)
-        return EXIT_CONFIG
+        ns = _parse(argv)
+        if ns.command == "validate-dp":
+            return _run_validate_dp(ns)
+        config = _experiment_config(ns)
     except SystemExit as exc:  # --help
         return exc.code if isinstance(exc.code, int) else EXIT_OK
-
-    try:
-        opts = _Options(ns, _load_config_file(ns.config, ns.command, ns.config_keys))
-        if ns.command == "validate-dp":
-            return _run_validate_dp(ns, opts)
-        config = _experiment_config(ns, opts)
+    except _UsageError as exc:
+        print(f"{exc.usage}error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

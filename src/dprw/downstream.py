@@ -39,8 +39,8 @@ class ClassifierConfig:
             raise ValueError("embed_dim and batch_size must be positive")
         if self.epochs < 0:
             raise ValueError("epochs must be non-negative")
-        if not self.learning_rate > 0:
-            raise ValueError("learning_rate must be positive")
+        if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError("learning_rate must be positive and finite")
 
 
 @dataclass

@@ -112,6 +112,8 @@ class ExperimentConfig:
             raise ValueError("seeds must be distinct")
         if self.jobs < 1:
             raise ValueError("jobs must be at least 1")
+        if not (math.isfinite(self.leak_margin) and self.leak_margin >= 0):
+            raise ValueError("leak_margin must be finite and non-negative")
         if self.mode == "pretrain" and not self.train_path:
             raise ValueError("pretrain mode requires a training split")
         if self.mode == "rewrite":

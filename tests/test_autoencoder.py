@@ -69,8 +69,9 @@ def doc_batch(model: Autoencoder, docs=DOCS):
 def test_config_validation():
     with pytest.raises(ValueError):
         AutoencoderConfig(embed_dim=0)
-    with pytest.raises(ValueError):
-        AutoencoderConfig(learning_rate=0.0)
+    for lr in (0.0, float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="learning_rate must be positive and finite"):
+            AutoencoderConfig(learning_rate=lr)
     with pytest.raises(ValueError):
         AutoencoderConfig(clip_c=-1.0)
     with pytest.raises(ValueError):

@@ -5,6 +5,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import dprw.autoencoder
 from dprw.cli import (
@@ -12,13 +14,14 @@ from dprw.cli import (
     EXIT_OK,
     EXIT_RUNTIME,
     CliError,
-    _load_config_file,
-    _Options,
+    _experiment_config,
+    _parse,
     build_parser,
     main,
     parse_epsilon,
 )
 from dprw.corpus import write_split
+from dprw.pipeline import ExperimentConfig
 from dprw.synth import FLIGHTS, SMART_HOME, make_corpus
 
 FAST_AE = ["--epochs", "2", "--embed-dim", "6", "--hidden-dim", "8", "--max-len", "12"]
@@ -163,6 +166,26 @@ def test_validate_dp_detects_miscalibrated_scale(tmp_path, capsys):
     assert abs(report["max_abs_log_ratio"] - 20.0) <= 1.0
 
 
+@pytest.mark.parametrize("scale", ["0", "-1", "nan", "inf"])
+def test_validate_dp_refuses_a_noise_scale_that_is_not_positive_and_finite(tmp_path, capsys, scale):
+    out = tmp_path / "v"
+    argv = ["validate-dp", "--epsilon", "1", "--dim", "4", "--trials", "10", "--out-dir", str(out)]
+    assert main([*argv, f"--noise-scale={scale}"]) == EXIT_CONFIG
+    assert "noise_scale must be positive and finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_validate_dp_writes_nothing_when_a_ratio_overflows(tmp_path, capsys):
+    # a positive but subnormal scale overflows the log-ratios to inf,
+    # which JSON cannot hold
+    out = tmp_path / "v"
+    argv = ["validate-dp", "--epsilon", "1", "--dim", "4", "--trials", "10", "--out-dir", str(out)]
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        assert main([*argv, "--noise-scale", "1e-320"]) == EXIT_RUNTIME
+    assert "not JSON compliant" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_validate_dp_offers_no_jobs_option(tmp_path, capsys):
     # the audit runs in one process; a --jobs value would be ignored
     assert main(["validate-dp", "--epsilon", "1", "--jobs", "2"]) == EXIT_CONFIG
@@ -222,29 +245,158 @@ def test_config_file_unknown_key_exits_1(tmp_path, capsys):
     assert "no_such_option" in capsys.readouterr().err
 
 
-def test_every_flag_dest_loads_from_config_and_config_help_are_refused(tmp_path, capsys):
+def _subparsers():
     parser = build_parser()
     commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    assert set(commands.choices) == {"pretrain", "rewrite", "downstream", "case-study", "validate-dp"}
-    for command, sub in commands.choices.items():
-        dests = {a.dest for a in sub._actions} - {"help", "config"}
-        assert {"out_dir", "seed"} <= dests
+    return commands.choices
+
+
+def _config_keys(sub) -> dict:
+    return {a.dest: a for a in sub._actions if a.dest not in ("help", "config")}
+
+
+def test_every_flag_dest_loads_from_config_and_config_help_are_refused(tmp_path, capsys):
+    commands = _subparsers()
+    assert set(commands) == {"pretrain", "rewrite", "downstream", "case-study", "validate-dp"}
+    sample = {int: 7, float: 0.25, None: "file-value"}
+    for command, sub in commands.items():
+        options = _config_keys(sub)
+        assert {"out_dir", "seed"} <= set(options)
+        values = {dest: sample[action.type] for dest, action in options.items()}
+        values["seed"] = [3, 4]
         cfg = tmp_path / f"{command}.json"
-        cfg.write_text(json.dumps({dest: f"file-{dest}" for dest in dests}))
-        ns = parser.parse_args([command, "--config", str(cfg)])
-        opts = _Options(ns, _load_config_file(ns.config, command, ns.config_keys))
-        for dest in dests:
-            assert opts.get(dest) == f"file-{dest}", (command, dest)
+        cfg.write_text(json.dumps(values))
+        ns = _parse([command, "--config", str(cfg)])
+        for dest, value in values.items():
+            resolved = getattr(ns, dest)
+            assert resolved == value and type(resolved) is type(value), (command, dest, resolved)
         for key in ("config", "help"):
             cfg.write_text(json.dumps({key: "x"}))
             assert main([command, "--config", str(cfg)]) == EXIT_CONFIG
             assert f"unknown config keys for {command}: {key}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "values, named",
+    [
+        ({"epochs": 1.9}, "argument --epochs: invalid int value: '1.9'"),
+        ({"hidden_dim": 8.5}, "argument --hidden-dim: invalid int value: '8.5'"),
+        ({"embed_dim": True}, "key 'embed_dim' must be"),
+        ({"seed": [1.7]}, "argument --seed: invalid int value: '1.7'"),
+        ({"seed": [1, [2]]}, "key 'seed' must be"),
+        ({"seed": []}, "key 'seed' must be"),
+        ({"lr": [0.1]}, "key 'lr' must be"),
+        ({"max_len": {"value": 3}}, "key 'max_len' must be"),
+    ],
+)
+def test_config_file_values_are_parsed_like_their_flags(workspace, tmp_path, capsys, values, named):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"train": str(workspace / "train.tsv"), **values}))
+    out = tmp_path / "out"
+    assert main(["pretrain", "--config", str(cfg), "--out-dir", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"config file {cfg}: " in err and named in err
+    assert not out.exists()
+
+
+def test_config_file_null_is_unset_and_gives_the_flags_config(workspace, tmp_path):
+    flags = ["--train", str(workspace / "train.tsv"), "--seed", "2", "--lr", "0.01", *FAST_AE]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(
+        json.dumps(
+            {"train": str(workspace / "train.tsv"), "seed": 2, "lr": 0.01, "epochs": 2, "embed_dim": 6,
+             "hidden_dim": 8, "max_len": 12, "batch_size": None, "out": None}
+        )
+    )
+    by_flags = _experiment_config(_parse(["pretrain", *flags]))
+    by_file = _experiment_config(_parse(["pretrain", "--config", str(cfg)]))
+    assert by_file.to_dict() == by_flags.to_dict()
+    assert by_file.autoencoder.batch_size == 32 and by_file.checkpoint_out is None
+
+
+@pytest.mark.parametrize("source", ["flag", "file"])
+def test_zero_jobs_exits_1(workspace, tmp_path, capsys, source):
+    out = tmp_path / "out"
+    argv = ["pretrain", "--train", str(workspace / "train.tsv"), "--out-dir", str(out), *FAST_AE]
+    if source == "flag":
+        argv += ["--jobs", "0"]
+    else:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"jobs": 0}))
+        argv += ["--config", str(cfg)]
+    assert main(argv) == EXIT_CONFIG
+    assert "jobs must be at least 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flags, named",
+    [
+        (["--leak-margin", "nan"], "leak_margin must be finite and non-negative"),
+        (["--leak-margin", "-5"], "leak_margin must be finite and non-negative"),
+        (["--lr", "inf"], "--lr: learning_rate must be positive and finite"),
+        (["--lr", "nan"], "--lr: learning_rate must be positive and finite"),
+        (["--clf-lr", "inf"], "--clf-lr: learning_rate must be positive and finite"),
+    ],
+)
+def test_case_study_refuses_bad_margins_and_learning_rates(tmp_path, capsys, flags, named):
+    out = tmp_path / "case"
+    argv = ["case-study", "--dataset-a", "a", "--dataset-b", "b", "--out-dir", str(out), *flags]
+    assert main(argv) == EXIT_CONFIG
+    assert named in capsys.readouterr().err
+    assert not out.exists()
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+OF_FLAG_TYPE = {int: st.integers(-3, 300), float: st.floats(), None: st.text(max_size=8)}
+
+
+def _config_objects(command):
+    # values of each flag's type (a list of them for seed), and up to two
+    # keys holding any JSON value
+    options = _config_keys(_subparsers()[command])
+    typed = {}
+    for dest, action in options.items():
+        typed[dest] = OF_FLAG_TYPE[action.type]
+        if dest == "seed":
+            typed[dest] = typed[dest] | st.lists(typed[dest], max_size=3)
+    return st.builds(
+        lambda good, any_json: {**good, **any_json},
+        st.fixed_dictionaries({}, optional=typed),
+        st.dictionaries(st.sampled_from(sorted(options)), JSON_VALUES, max_size=2),
+    )
+
+
+@pytest.mark.parametrize("command", ["pretrain", "downstream", "case-study"])
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_config_file_resolution_fuzz(tmp_path, monkeypatch, command, data):
+    # any JSON object over the subcommand's keys resolves to a run or is
+    # refused with a CliError; nothing is trained
+    monkeypatch.delenv("DPRW_SEED", raising=False)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(data.draw(_config_objects(command))))
+    try:
+        config = _experiment_config(_parse([command, "--config", str(cfg)]))
+    except CliError:
+        return
+    assert isinstance(config, ExperimentConfig)
+
+
 def test_config_file_invalid_json_exits_1(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text("{broken")
-    assert main(["pretrain", "--config", str(cfg)]) == EXIT_CONFIG
+    cases = (("{broken", "not valid JSON"), ("[1, 2]", "must hold a JSON object"), (None, "cannot read it"))
+    for text, named in cases:
+        if text is None:
+            cfg.unlink()
+        else:
+            cfg.write_text(text)
+        assert main(["pretrain", "--config", str(cfg)]) == EXIT_CONFIG
+        assert f"config file {cfg}: {named}" in capsys.readouterr().err
 
 
 def test_dprw_seed_env_is_the_fallback(workspace, tmp_path, monkeypatch):

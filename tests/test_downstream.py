@@ -122,8 +122,9 @@ def test_all_unknown_test_tokens_fall_back_to_a_constant_prediction():
 def test_config_validation():
     with pytest.raises(ValueError):
         ClassifierConfig(epochs=-1)
-    with pytest.raises(ValueError):
-        ClassifierConfig(learning_rate=0.0)
+    for lr in (0.0, float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="learning_rate must be positive and finite"):
+            ClassifierConfig(learning_rate=lr)
     with pytest.raises(ValueError):
         ClassifierConfig(embed_dim=0)
 

@@ -91,6 +91,9 @@ def test_config_validates_mode_and_mode_specific_fields(tmp_path):
         ExperimentConfig(mode="pretrain", out_dir=str(tmp_path), train_path="t", seeds=[1, 1])
     with pytest.raises(ValueError, match="jobs"):
         ExperimentConfig(mode="pretrain", out_dir=str(tmp_path), train_path="t", jobs=0)
+    for margin in (-0.5, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="leak_margin must be finite and non-negative"):
+            ExperimentConfig(mode="case_study", out_dir=str(tmp_path), dataset_a="a", dataset_b="b", leak_margin=margin)
 
 
 def test_config_to_dict_lists_every_field_with_privacy_flattened(tmp_path):
