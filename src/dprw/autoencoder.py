@@ -11,13 +11,23 @@ channel the case study exposes.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
-from .corpus import EOS_ID, PAD_ID, SOS_ID, LabeledDataset, Vocabulary, build_vocabulary, encode
+from .corpus import (
+    EOS_ID,
+    PAD_ID,
+    SOS_ID,
+    SPECIAL_TOKENS,
+    LabeledDataset,
+    Vocabulary,
+    build_vocabulary,
+    encode,
+)
 from .numcore import AdamState, Array, NonFiniteError, Rng, Tape, adam_step, gru_cell, split_gru_weights
 
 __all__ = [
@@ -117,11 +127,14 @@ class Autoencoder:
     """Encoder/decoder pair sharing one embedding table.
 
     Training and inference run the same GRU step, ``numcore.gru_cell``:
-    the tape's ``gru_pass`` op uses it as its forward. Inference takes each
-    token's input projection from a per-side (V, 3H) table, the embedding
-    projected once; the tables and split weights are built on first use and
-    dropped by ``train_step``, so code that edits ``parameters`` in place
-    some other way must build a new model before running inference.
+    the tape's ``gru_pass`` op uses it as its forward. A constructed model
+    holds float64 parameters, so inference runs in float64; ``pretrain``
+    narrows its model's parameters to float32 for training. Inference
+    takes each token's input projection from a per-side (V, 3H) table, the
+    embedding projected once; the tables and split weights are built on
+    first use and dropped by ``train_step``, so code that edits
+    ``parameters`` in place some other way must build a new model before
+    running inference.
     """
 
     def __init__(
@@ -168,9 +181,10 @@ class Autoencoder:
         return cls(ckpt.config, ckpt.vocabulary, parameters=ckpt.parameters)
 
     def to_checkpoint(self, metadata: dict | None = None) -> AutoencoderCheckpoint:
+        """A copy of the parameters, widened to float64 (exact from float32)."""
         return AutoencoderCheckpoint(
             config=self.config,
-            parameters={k: v.copy() for k, v in self.parameters.items()},
+            parameters={k: v.astype(np.float64) for k, v in self.parameters.items()},
             vocabulary=self.vocabulary,
             metadata=dict(metadata or {}),
         )
@@ -246,7 +260,8 @@ class Autoencoder:
         GRU pass is one tape node over time-major rows.
         """
         steps = np.asarray(batch).T  # (T, B)
-        h0 = tape.leaf(np.zeros((steps.shape[1], self.config.hidden_dim)), name="h0")
+        dtype = leaves["embedding"].value.dtype
+        h0 = tape.leaf(np.zeros((steps.shape[1], self.config.hidden_dim), dtype=dtype), name="h0")
         x = tape.row_select(leaves["embedding"], steps.reshape(-1))
         final = tape.gru_pass(x, h0, _gru_weights(leaves, "enc"), mask=steps != PAD_ID)
         latent = tape.clip_rows_l1(final, self.config.clip_c)
@@ -290,9 +305,11 @@ def pretrain(
 ) -> AutoencoderCheckpoint:
     """Train the autoencoder on reconstruction over the training split.
 
-    Clipping is live during pre-training; noise never is. All randomness
-    (init, shuffling) flows from the seed, so the checkpoint is a pure
-    function of (dataset, config, seed).
+    Clipping is live during pre-training; noise never is. Training runs in
+    float32: the float64 init draws are rounded once, and the parameters
+    and Adam moments stay float32; the checkpoint holds them widened to
+    float64. All randomness (init, shuffling) flows from the seed, so the
+    checkpoint is a pure function of (dataset, config, seed).
     """
     if not dataset.train:
         raise ValueError("training split is empty")
@@ -305,6 +322,7 @@ def pretrain(
         )
     rng = Rng(seed)
     model = Autoencoder(config, vocab, rng=rng.derive("autoencoder"))
+    model.parameters = {k: v.astype(np.float32) for k, v in model.parameters.items()}
     encoded = [encode(doc, vocab, config.max_len) for doc in dataset.train]
     opt = AdamState.init(model.parameters)
     shuffle = rng.derive("shuffle")
@@ -360,10 +378,19 @@ def save_checkpoint(ckpt: AutoencoderCheckpoint, path: str | Path) -> None:
 
 
 def load_checkpoint(path: str | Path) -> AutoencoderCheckpoint:
+    """Read and verify a checkpoint file; every refusal is a
+    ``CheckpointError`` whose message names ``path``."""
     try:
         raw = Path(path).read_bytes()
     except OSError as exc:
-        raise CheckpointCorruptError(f"cannot read checkpoint: {exc}") from exc
+        raise CheckpointCorruptError(f"checkpoint {path}: cannot read it: {exc.strerror}") from None
+    try:
+        return _decode_checkpoint(raw)
+    except CheckpointError as exc:
+        raise type(exc)(f"checkpoint {path}: {exc}") from None
+
+
+def _decode_checkpoint(raw: bytes) -> AutoencoderCheckpoint:
     if len(raw) < len(CHECKPOINT_MAGIC) + 8:
         raise CheckpointCorruptError("file too short for a checkpoint")
     magic = raw[: len(CHECKPOINT_MAGIC)]
@@ -380,24 +407,30 @@ def load_checkpoint(path: str | Path) -> AutoencoderCheckpoint:
         raise CheckpointCorruptError("truncated header")
     try:
         header = json.loads(raw[offset : offset + header_len].decode("utf-8"))
-        config = AutoencoderConfig(**header["config"])
-        vocab_tokens = header["vocabulary"]
-        metadata = header["metadata"]
-        listed = [(name, tuple(shape)) for name, shape in header["parameters"]]
-    except (ValueError, KeyError, TypeError) as exc:
-        raise CheckpointCorruptError(f"unreadable header: {exc}") from exc
+    except (ValueError, RecursionError) as exc:
+        raise CheckpointCorruptError(f"unreadable header: {exc}") from None
     offset += header_len
-
-    expected = _parameter_shapes(config)
-    if dict(listed) != expected:
-        raise CheckpointShapeError("parameter table does not match config")
-    if len(vocab_tokens) != config.vocab_size:
+    if not isinstance(header, dict) or set(header) != {"config", "vocabulary", "metadata", "parameters"}:
+        raise CheckpointCorruptError("header must be an object with config, vocabulary, metadata and parameters")
+    config = _header_config(header["config"])
+    tokens, metadata = header["vocabulary"], header["metadata"]
+    if not isinstance(metadata, dict):
+        raise CheckpointCorruptError("header metadata must be an object")
+    if not (isinstance(tokens, list) and all(isinstance(t, str) for t in tokens)):
+        raise CheckpointCorruptError("header vocabulary must be a list of strings")
+    if tuple(tokens[: len(SPECIAL_TOKENS)]) != SPECIAL_TOKENS or len(set(tokens)) != len(tokens):
+        raise CheckpointCorruptError("header vocabulary must be distinct tokens after the special tokens")
+    if len(tokens) != config.vocab_size:
         raise CheckpointShapeError(
-            f"vocabulary size {len(vocab_tokens)} != config vocab_size {config.vocab_size}"
+            f"vocabulary size {len(tokens)} != config vocab_size {config.vocab_size}"
         )
+    shapes = _parameter_shapes(config)
+    if header["parameters"] != [[name, list(shape)] for name, shape in shapes.items()]:
+        raise CheckpointShapeError("parameter table does not match config")
+
     parameters: dict[str, Array] = {}
-    for name, shape in listed:
-        count = int(np.prod(shape)) if shape else 1
+    for name, shape in shapes.items():
+        count = math.prod(shape)
         nbytes = count * 8
         if offset + nbytes > len(raw):
             raise CheckpointCorruptError(f"truncated blob for parameter {name!r}")
@@ -409,9 +442,25 @@ def load_checkpoint(path: str | Path) -> AutoencoderCheckpoint:
     if offset != len(raw):
         raise CheckpointCorruptError("trailing bytes after final parameter blob")
     vocabulary = Vocabulary(
-        id_to_token=list(vocab_tokens),
-        token_to_id={tok: i for i, tok in enumerate(vocab_tokens)},
+        id_to_token=list(tokens),
+        token_to_id={tok: i for i, tok in enumerate(tokens)},
     )
     return AutoencoderCheckpoint(
         config=config, parameters=parameters, vocabulary=vocabulary, metadata=metadata
     )
+
+
+def _header_config(values) -> AutoencoderConfig:
+    """The header's config object: every field, each of its default's type
+    (an int also for a float field, never a bool), and valid."""
+    defaults = AutoencoderConfig().to_dict()
+    if not isinstance(values, dict) or set(values) != set(defaults):
+        raise CheckpointCorruptError(f"header config must have exactly the fields {sorted(defaults)}")
+    for key, value in values.items():
+        kinds = (int, float) if isinstance(defaults[key], float) else int
+        if isinstance(value, bool) or not isinstance(value, kinds):
+            raise CheckpointCorruptError(f"header config {key!r} has the wrong type: {value!r}")
+    try:
+        return AutoencoderConfig(**values)
+    except ValueError as exc:
+        raise CheckpointCorruptError(f"header config: {exc}") from None

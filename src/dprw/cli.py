@@ -18,7 +18,7 @@ import os
 import sys
 from pathlib import Path
 
-from .autoencoder import AutoencoderConfig, load_checkpoint
+from .autoencoder import AutoencoderConfig
 from .downstream import ClassifierConfig
 from .dpmech import PrivacyParams, run_bound_suite
 from .numcore import Rng
@@ -262,20 +262,14 @@ def _experiment_config(ns: argparse.Namespace) -> ExperimentConfig:
                 **common,
             )
         if ns.command == "rewrite":
-            checkpoint = _require(ns, "checkpoint")
-            train = _require(ns, "train")
-            epsilon = parse_epsilon(_require(ns, "epsilon"))
-            clip = ns.clip
-            if clip is None:
-                # a CheckpointError is no ValueError, so an unreadable
-                # checkpoint still exits 2, as when run_rewrite loads it
-                clip = load_checkpoint(checkpoint).config.clip_c
+            # an unset --clip is the checkpoint's, read where run_rewrite loads it
             return ExperimentConfig(
                 mode="rewrite",
-                checkpoint_in=checkpoint,
-                train_path=train,
+                checkpoint_in=_require(ns, "checkpoint"),
+                train_path=_require(ns, "train"),
                 validation_path=ns.val,
-                privacy=PrivacyParams(epsilon=epsilon, clip_c=clip),
+                epsilon=parse_epsilon(_require(ns, "epsilon")),
+                clip_c=ns.clip,
                 **common,
             )
         if ns.command == "downstream":

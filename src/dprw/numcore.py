@@ -1,13 +1,17 @@
-"""Dense float64 numeric core: deterministic RNG streams, the one sigmoid,
-GRU cell, softmax and row-wise l1 clip that the tape, inference, the
+"""Dense numeric core: deterministic RNG streams, the one sigmoid, GRU
+cell, softmax and row-wise l1 clip that the tape, inference, the
 classifier and the privacy mechanism share, a reverse-mode tape, and an
 Adam optimizer.
 
-Values are plain numpy float64 arrays. Every tape operation validates
-shapes and rejects non-finite results, so a diverging training run fails
-at the op that produced the bad value instead of corrupting downstream
-state. A tape is single-threaded; concurrent training requires one model
-instance (and one Rng stream) per worker.
+Values are plain numpy arrays, and every operation computes in its
+inputs' precision: float32 inputs give float32 values, gradients and Adam
+moments, and anything else runs in float64. Pre-training uses float32.
+The finite-difference gradient check, inference, the privacy mechanism
+and the checkpoint blobs (``<f8``) are float64. Every tape operation
+validates shapes and rejects non-finite results, so a diverging training
+run fails at the op that produced the bad value instead of corrupting
+downstream state. A tape is single-threaded; concurrent training requires
+one model instance (and one Rng stream) per worker.
 """
 
 from __future__ import annotations
@@ -28,6 +32,12 @@ class NonFiniteError(FloatingPointError):
 def as_f64(x) -> Array:
     """Coerce to a float64 ndarray without copying when already one."""
     return np.asarray(x, dtype=np.float64)
+
+
+def as_float(x) -> Array:
+    """A float32 or float64 ndarray as it is; anything else as float64."""
+    x = np.asarray(x)
+    return x if x.dtype in (np.float32, np.float64) else x.astype(np.float64)
 
 
 def require_finite(x: Array, name: str) -> None:
@@ -140,7 +150,7 @@ def gru_cell(xp: Array, h: Array, u: tuple[Array, Array, Array]) -> tuple[Array,
     """
     u_z, u_r, u_h = u
     hd = h.shape[1]
-    zr = np.empty((h.shape[0], 2 * hd))
+    zr = np.empty((h.shape[0], 2 * hd), dtype=h.dtype)
     np.matmul(h, u_z, out=zr[:, :hd])
     np.matmul(h, u_r, out=zr[:, hd:])
     zr += xp[:, : 2 * hd]
@@ -244,7 +254,7 @@ class Tape:
     # -- construction ------------------------------------------------------
 
     def _push(self, value: Array, parents: tuple = (), vjps: tuple = (), name: str = "") -> Node:
-        value = as_f64(value)
+        value = as_float(value)
         require_finite(value, name)
         node = Node(value=value, parents=parents, vjps=vjps, name=name)
         self.nodes.append(node)
@@ -254,7 +264,7 @@ class Tape:
         """Register an input or parameter value. Leaves are checked but not
         recorded: backward() reaches them through the ops that use them."""
         name = name or "leaf"
-        value = as_f64(value)
+        value = as_float(value)
         require_finite(value, name)
         return Node(value=value, name=name)
 
@@ -349,7 +359,7 @@ class Tape:
         xp = x.value @ wx
         xp += bias
         xp = xp.reshape(steps, b, 3 * hd)
-        hs = np.empty((steps + 1, b, hd))  # hs[t] enters step t
+        hs = np.empty((steps + 1, b, hd), dtype=xp.dtype)  # hs[t] enters step t
         hs[0] = h0.value
         caches = []
         for t in range(steps):
@@ -362,8 +372,8 @@ class Tape:
         def backward(g):
             u_zr = np.concatenate(u[:2], axis=1)
             g_steps = g.reshape(steps, b, hd) if all_states else None
-            da = np.empty((steps, b, 3 * hd))
-            dh = np.zeros((b, hd)) if all_states else g
+            da = np.empty((steps, b, 3 * hd), dtype=hs.dtype)
+            dh = np.zeros((b, hd), dtype=hs.dtype) if all_states else g
             for t in reversed(range(steps)):
                 if all_states:
                     dh = dh + g_steps[t]
@@ -426,7 +436,7 @@ class Tape:
             grad[~valid] = 0.0
             return grad * (float(g) / count)
 
-        return self._push(np.float64(loss), parents=(logits,), vjps=(vjp,), name="softmax_cross_entropy")
+        return self._push(loss, parents=(logits,), vjps=(vjp,), name="softmax_cross_entropy")
 
     # -- reverse pass ------------------------------------------------------
 
@@ -440,14 +450,14 @@ class Tape:
             raise RuntimeError("backward already ran on this tape; build a fresh tape")
         if loss.value.shape != ():
             raise ValueError("backward requires a scalar loss node")
-        loss.grad = np.float64(1.0)
+        loss.grad = np.ones((), dtype=loss.value.dtype)
         for node in reversed(self.nodes):
             if node.grad is None:
                 continue
             for parent, vjp in zip(node.parents, node.vjps):
                 contribution = vjp(node.grad)
                 if parent.grad is None:
-                    parent.grad = np.array(contribution, dtype=np.float64)
+                    parent.grad = np.array(contribution)
                 else:
                     parent.grad = parent.grad + contribution
         self._backward_done = True

@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
@@ -56,6 +56,7 @@ __all__ = [
     "MODES",
     "EPSILON_LADDER",
     "ExperimentConfig",
+    "UnitError",
     "epsilon_repr",
     "aggregate_seed_stats",
     "rewrite_documents",
@@ -96,7 +97,8 @@ class ExperimentConfig:
     dataset_b: str | None = None
     checkpoint_in: str | None = None
     checkpoint_out: str | None = None
-    privacy: PrivacyParams | None = None
+    epsilon: float | None = None
+    clip_c: float | None = None  # rewrite: None is the checkpoint's radius
     autoencoder: AutoencoderConfig = field(default_factory=AutoencoderConfig)
     classifier: ClassifierConfig = field(default_factory=ClassifierConfig)
     seeds: list[int] = field(default_factory=lambda: list(DEFAULT_SEEDS))
@@ -119,8 +121,10 @@ class ExperimentConfig:
         if self.mode == "rewrite":
             if not self.checkpoint_in:
                 raise ValueError("rewrite mode requires a checkpoint")
-            if self.privacy is None:
+            if self.epsilon is None:
                 raise ValueError("rewrite mode requires privacy parameters (epsilon)")
+            # run_rewrite resolves an unset radius, so only a given one is checked here
+            PrivacyParams(self.epsilon, 1.0 if self.clip_c is None else self.clip_c)
             if not self.train_path:
                 raise ValueError("rewrite mode requires a training split")
         if self.mode == "downstream" and not (self.train_path and self.test_path):
@@ -129,12 +133,9 @@ class ExperimentConfig:
             raise ValueError("case_study mode requires two dataset directories")
 
     def to_dict(self) -> dict:
-        """Every field, with the privacy parameters flattened into
-        ``epsilon`` (as ``epsilon_repr``) and ``clip_c``."""
+        """Every field, with ``epsilon`` as ``epsilon_repr``."""
         out = asdict(self)
-        del out["privacy"]
-        out["epsilon"] = None if self.privacy is None else epsilon_repr(self.privacy.epsilon)
-        out["clip_c"] = None if self.privacy is None else self.privacy.clip_c
+        out["epsilon"] = None if self.epsilon is None else epsilon_repr(self.epsilon)
         return out
 
 
@@ -159,11 +160,30 @@ def _random_baseline_block(dataset: LabeledDataset, seeds: list[int]) -> dict:
     )
 
 
-def _map_units(jobs: int, fn, items: list):
-    if jobs <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
+class UnitError(RuntimeError):
+    """A work unit failed; the message names its (mode, corpus, seed)."""
+
+
+def _unit(mode: str, corpus: str, seed: int) -> str:
+    return f"{mode} unit ({corpus}, seed {seed})"
+
+
+def _named(name: str, call, arg):
+    try:
+        return call(arg)
+    except Exception as exc:
+        raise UnitError(f"{name}: {exc}") from exc
+
+
+def _map_units(jobs: int, fn, units: list[tuple[str, object]]) -> list:
+    """``fn`` of each (name, payload) unit's payload, in order, over up to
+    ``jobs`` processes; the first unit in order that raised is named in a
+    ``UnitError``."""
+    if jobs <= 1 or len(units) <= 1:
+        return [_named(name, fn, payload) for name, payload in units]
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
+        futures = [(name, pool.submit(fn, payload)) for name, payload in units]
+        return [_named(name, Future.result, future) for name, future in futures]
 
 
 # -- rewriting ----------------------------------------------------------------
@@ -277,7 +297,10 @@ def run_pretrain(config: ExperimentConfig) -> dict:
     results = _map_units(
         config.jobs,
         _pretrain_unit,
-        [(dataset, config.autoencoder, seed) for seed in config.seeds],
+        [
+            (_unit("pretrain", config.train_path, seed), (dataset, config.autoencoder, seed))
+            for seed in config.seeds
+        ],
     )
     losses = {seed: ckpt.metadata["final_loss"] for seed, ckpt, _ in results}
     bleus = {seed: recon for seed, _, recon in results}
@@ -326,19 +349,25 @@ def run_rewrite(config: ExperimentConfig) -> dict:
     """Rewrite train and validation per seed; the test split is never
     rewritten. Canonical TSVs come from the first seed. The recorded
     autoencoder config is the checkpoint's, not the defaults, and the clip
-    radius must be the one the checkpoint was pre-trained at."""
+    radius is the one the checkpoint was pre-trained at: an unset
+    ``clip_c`` takes it, and any other is refused."""
     ckpt = load_checkpoint(config.checkpoint_in)
-    if config.privacy.clip_c != ckpt.config.clip_c:
+    clip_c = ckpt.config.clip_c
+    if config.clip_c is not None and config.clip_c != clip_c:
         raise ValueError(
-            f"clip radius {config.privacy.clip_c} differs from the checkpoint's "
-            f"clip_c {ckpt.config.clip_c}; rewrite at the radius it was pre-trained at"
+            f"clip radius {config.clip_c} differs from the checkpoint's "
+            f"clip_c {clip_c}; rewrite at the radius it was pre-trained at"
         )
-    config = replace(config, autoencoder=ckpt.config)
+    config = replace(config, clip_c=clip_c, autoencoder=ckpt.config)
+    privacy = PrivacyParams(config.epsilon, clip_c)
     dataset = _load_splits(config)
     results = _map_units(
         config.jobs,
         _rewrite_unit,
-        [(ckpt, dataset, config.privacy, seed) for seed in config.seeds],
+        [
+            (_unit("rewrite", config.train_path, seed), (ckpt, dataset, privacy, seed))
+            for seed in config.seeds
+        ],
     )
     bleu_train = {seed: _mean_bleu(rw_train, dataset.train) for seed, rw_train, _ in results}
     per_seed_metrics = {"bleu_train": _stats_block(bleu_train)}
@@ -353,13 +382,13 @@ def run_rewrite(config: ExperimentConfig) -> dict:
         "metrics": per_seed_metrics,
         "provenance": {
             "checkpoint": config.checkpoint_in,
-            "epsilon": epsilon_repr(config.privacy.epsilon),
+            "epsilon": epsilon_repr(config.epsilon),
             "rewritten_dir": str(rewritten_dir),
             "canonical_seed": config.seeds[0],
             "test_split_rewritten": False,
         },
     }
-    lines = ["mode: rewrite", f"epsilon: {epsilon_repr(config.privacy.epsilon)}"]
+    lines = ["mode: rewrite", f"epsilon: {epsilon_repr(config.epsilon)}"]
     for name, stats in per_seed_metrics.items():
         lines.append(f"{name}: {stats['mean']:.4f} ({stats['std']:.4f})")
     return _write_outputs(config, report, "\n".join(lines) + "\n")
@@ -390,7 +419,12 @@ def run_downstream(config: ExperimentConfig) -> dict:
             f"labels absent from the training split are always scored wrong: {missing}"
         )
     results = _map_units(
-        config.jobs, _downstream_unit, [(dataset, config.classifier, seed) for seed in config.seeds]
+        config.jobs,
+        _downstream_unit,
+        [
+            (_unit("downstream", config.train_path, seed), (dataset, config.classifier, seed))
+            for seed in config.seeds
+        ],
     )
     f1 = _stats_block(dict(results))
     rand = _random_baseline_block(dataset, config.seeds)
@@ -478,7 +512,10 @@ def run_case_study(config: ExperimentConfig) -> dict:
     canonical_seed = config.seeds[0]
 
     units = [
-        (pretrain_name, datasets, config.autoencoder, config.classifier, config.leak_margin, seed, seed == canonical_seed)
+        (
+            _unit("case_study", pretrain_name, seed),
+            (pretrain_name, datasets, config.autoencoder, config.classifier, config.leak_margin, seed, seed == canonical_seed),
+        )
         for pretrain_name in datasets
         for seed in config.seeds
     ]
@@ -488,7 +525,11 @@ def run_case_study(config: ExperimentConfig) -> dict:
     originals = _map_units(
         config.jobs,
         _downstream_unit,
-        [(dataset, config.classifier, seed) for dataset in datasets.values() for seed in config.seeds],
+        [
+            (_unit("case_study original", name, seed), (dataset, config.classifier, seed))
+            for name, dataset in datasets.items()
+            for seed in config.seeds
+        ],
     )
 
     # keyed merge so assembly order is independent of execution order

@@ -274,7 +274,7 @@ def test_criterion_8_reruns_are_byte_identical_and_reports_show_mean_std(
                 out_dir=str(rw_dir),
                 train_path=str(data / "train.tsv"),
                 checkpoint_in=str(pre_dir / "checkpoint.bin"),
-                privacy=PrivacyParams(epsilon=10.0, clip_c=5.0),
+                epsilon=10.0, clip_c=5.0,
                 autoencoder=tiny,
                 seeds=[1, 2],
             )

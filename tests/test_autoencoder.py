@@ -1,7 +1,9 @@
 """GRU autoencoder: tape/numpy parity, training, and checkpoint format."""
 
+import json
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from dprw.autoencoder import (
     Autoencoder,
     AutoencoderConfig,
     CheckpointCorruptError,
+    CheckpointError,
     CheckpointShapeError,
     CheckpointVersionError,
     _parameter_shapes,
@@ -38,7 +41,7 @@ from dprw.corpus import (
 )
 from dprw.dpmech import PrivacyParams, privatize
 from dprw.numcore import AdamState, NonFiniteError, Rng, Tape, finite_difference_check
-from dprw.pipeline import EPSILON_LADDER
+from dprw.pipeline import EPSILON_LADDER, rewrite_documents
 from dprw.synth import FLIGHTS, make_corpus
 
 TINY = AutoencoderConfig(embed_dim=5, hidden_dim=7, max_len=6, epochs=2, batch_size=4)
@@ -465,3 +468,162 @@ def test_loaded_checkpoint_behaves_identically(tmp_path):
     np.testing.assert_array_equal(model.encode_batch(batch), clone.encode_batch(batch))
     latents = model.encode_batch(batch)
     assert model.decode_greedy_batch(latents) == clone.decode_greedy_batch(latents)
+
+
+# -- damaged checkpoint files --------------------------------------------------------
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-(2**70), 2**70) | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+def _split_checkpoint(raw: bytes) -> tuple[dict, bytes]:
+    """A valid checkpoint's header object and its blob bytes."""
+    start = len(CHECKPOINT_MAGIC) + 8
+    (header_len,) = np.frombuffer(raw, dtype="<u8", count=1, offset=len(CHECKPOINT_MAGIC))
+    return json.loads(raw[start : start + int(header_len)]), raw[start + int(header_len) :]
+
+
+def _join_checkpoint(header, blobs: bytes) -> bytes:
+    text = json.dumps(header).encode("utf-8")
+    return CHECKPOINT_MAGIC + len(text).to_bytes(8, "little") + text + blobs
+
+
+@st.composite
+def damaged_checkpoints(draw, raw: bytes) -> bytes:
+    """A truncation, byte flips, a header edit (a value replaced or removed
+    up to three levels down, the length prefix rewritten to fit) or a blob
+    region grown or shrunk."""
+    kind = draw(st.sampled_from(["truncate", "flip", "header", "blob"]))
+    if kind == "truncate":
+        return raw[: draw(st.integers(0, len(raw) - 1))]
+    if kind == "flip":
+        out = bytearray(raw)
+        for _ in range(draw(st.integers(1, 4))):
+            out[draw(st.integers(0, len(raw) - 1))] ^= draw(st.integers(1, 255))
+        return bytes(out)
+    header, blobs = _split_checkpoint(raw)
+    if kind == "blob":
+        at = draw(st.integers(0, len(blobs)))
+        if draw(st.booleans()):
+            return _join_checkpoint(header, blobs[:at] + draw(st.binary(min_size=1, max_size=24)) + blobs[at:])
+        return _join_checkpoint(header, blobs[:at] + blobs[at + draw(st.integers(1, 24)) :])
+    parent, key = None, None
+    node = header
+    for _ in range(draw(st.integers(1, 3))):
+        if isinstance(node, dict) and node:
+            parent, key = node, draw(st.sampled_from(sorted(node)))
+        elif isinstance(node, list) and node:
+            parent, key = node, draw(st.integers(0, len(node) - 1))
+        else:
+            break
+        node = parent[key]
+    if isinstance(parent, dict) and draw(st.booleans()):
+        del parent[key]
+    else:
+        parent[key] = draw(JSON_VALUES)
+    return _join_checkpoint(header, blobs)
+
+
+@pytest.fixture(scope="module")
+def valid_checkpoint(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz") / "valid.bin"
+    save_checkpoint(tiny_model(seed=4).to_checkpoint({"final_loss": 0.5, "seed": 4}), path)
+    return path
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_load_checkpoint_fuzz_raises_only_checkpoint_errors(valid_checkpoint, data):
+    raw = valid_checkpoint.read_bytes()
+    path = valid_checkpoint.with_name("damaged.bin")
+    path.write_bytes(data.draw(damaged_checkpoints(raw)))
+    try:
+        ckpt = load_checkpoint(path)
+    except CheckpointError as exc:
+        assert str(path) in str(exc)
+    else:
+        # what loads is a usable model
+        model = Autoencoder.from_checkpoint(ckpt)
+        model.decode_greedy_batch(model.encode_batch(doc_batch(model)), max_len=3)
+
+
+@pytest.mark.parametrize(
+    "edit, error",
+    [
+        (lambda h: h["config"].update(embed_dim=5.0), "'embed_dim' has the wrong type"),
+        (lambda h: h["config"].update(clip_c=True), "'clip_c' has the wrong type"),
+        (lambda h: h["config"].update(extra=1), "exactly the fields"),
+        (lambda h: h["parameters"][0].__setitem__(0, ["embedding"]), "parameter table"),
+        (lambda h: h["parameters"].reverse(), "parameter table"),
+        (lambda h: h.update(vocabulary=h["vocabulary"][:-1] + [h["vocabulary"][-2]]), "distinct"),
+        (lambda h: h.update(vocabulary=h["vocabulary"][1:] + ["x"]), "special tokens"),
+        (lambda h: h.update(vocabulary=h["vocabulary"][:-1] + [["a"]]), "list of strings"),
+        (lambda h: h.update(vocabulary=len(h["vocabulary"])), "list of strings"),
+        (lambda h: h.update(metadata=[1]), "metadata must be an object"),
+        (lambda h: h.pop("metadata"), "must be an object with"),
+    ],
+)
+def test_checkpoint_refuses_malformed_headers(valid_checkpoint, tmp_path, edit, error):
+    header, blobs = _split_checkpoint(valid_checkpoint.read_bytes())
+    edit(header)
+    path = tmp_path / "edited.bin"
+    path.write_bytes(_join_checkpoint(header, blobs))
+    with pytest.raises(CheckpointError, match=re.escape(error)):
+        load_checkpoint(path)
+
+
+def test_checkpoint_errors_name_the_file(tmp_path):
+    missing = tmp_path / "missing.bin"
+    with pytest.raises(CheckpointCorruptError, match=re.escape(f"checkpoint {missing}: cannot read it")):
+        load_checkpoint(missing)
+
+
+# -- training precision ----------------------------------------------------------------
+
+
+def test_pretrain_trains_in_float32_and_returns_exact_float64(monkeypatch):
+    seen = []
+    real = dprw.autoencoder.adam_step
+
+    def spy(params, grads, lr, state):
+        seen.append({k: (params[k].dtype, grads[k].dtype, state.m[k].dtype, state.v[k].dtype) for k in params})
+        real(params, grads, lr, state)
+        seen.append({k: (params[k].dtype, state.m[k].dtype, state.v[k].dtype) for k in params})
+
+    monkeypatch.setattr(dprw.autoencoder, "adam_step", spy)
+    config = AutoencoderConfig(embed_dim=4, hidden_dim=5, max_len=6, epochs=2, batch_size=2)
+    ckpt = pretrain(LabeledDataset(train=DOCS), config, seed=3)
+    assert len(seen) == 2 * 4  # two batches per epoch, before and after each update
+    assert {dtype for step in seen for dtypes in step.values() for dtype in dtypes} == {np.dtype(np.float32)}
+    for k, v in ckpt.parameters.items():
+        assert v.dtype == np.float64
+        np.testing.assert_array_equal(v.astype(np.float32).astype(np.float64), v, err_msg=k)
+
+
+def test_pretrain_starts_from_the_float64_init_rounded_to_float32(monkeypatch):
+    config = AutoencoderConfig(vocab_size=len(build_vocabulary(DOCS)), embed_dim=4, hidden_dim=5, max_len=6, batch_size=2)
+    ckpt = pretrain(LabeledDataset(train=DOCS), replace(config, epochs=0), seed=3)
+    init = Autoencoder(config, build_vocabulary(DOCS), rng=Rng(3).derive("autoencoder"))
+    for k, v in init.parameters.items():
+        np.testing.assert_array_equal(ckpt.parameters[k], v.astype(np.float32).astype(np.float64), err_msg=k)
+
+
+def test_rewrites_from_the_in_memory_and_the_saved_checkpoint_are_identical(tmp_path):
+    ds = make_corpus(FLIGHTS, seed=3, train_size=24, val_size=4, test_size=4)
+    ckpt = pretrain(ds, AutoencoderConfig(embed_dim=6, hidden_dim=8, max_len=10, epochs=3, batch_size=8), seed=5)
+    path = tmp_path / "ckpt.bin"
+    save_checkpoint(ckpt, path)
+    loaded = load_checkpoint(path)
+    for k, v in ckpt.parameters.items():
+        assert loaded.parameters[k].dtype == v.dtype == np.float64
+        np.testing.assert_array_equal(loaded.parameters[k], v)
+    for epsilon in EPSILON_LADDER:
+        privacy = PrivacyParams(epsilon=epsilon, clip_c=ckpt.config.clip_c)
+        rewrites = [
+            rewrite_documents(Autoencoder.from_checkpoint(c), ds.train, privacy, seed=2, split_name="train")
+            for c in (ckpt, loaded)
+        ]
+        assert rewrites[0] == rewrites[1]

@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -9,6 +10,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import dprw.autoencoder
+import dprw.cli
+import dprw.pipeline
 from dprw.cli import (
     EXIT_CONFIG,
     EXIT_OK,
@@ -551,3 +554,62 @@ def test_cli_rerun_is_byte_identical(workspace, tmp_path):
     first = {p.name: p.read_bytes() for p in out.iterdir()}
     assert main(argv) == EXIT_OK
     assert {p.name: p.read_bytes() for p in out.iterdir()} == first
+
+
+def test_rewrite_loads_the_checkpoint_once(workspace, clip2_checkpoint, tmp_path, monkeypatch):
+    loads = []
+    real = dprw.autoencoder.load_checkpoint
+
+    def counting(path):
+        loads.append(path)
+        return real(path)
+
+    for module in (dprw.cli, dprw.pipeline, dprw.autoencoder):
+        if hasattr(module, "load_checkpoint"):
+            monkeypatch.setattr(module, "load_checkpoint", counting)
+    argv = ["rewrite", "--checkpoint", str(clip2_checkpoint), "--train", str(workspace / "train.tsv"),
+            "--epsilon", "10", "--seed", "1"]
+    for clip in ([], ["--clip", "2"]):
+        loads.clear()
+        assert main([*argv, *clip, "--out-dir", str(tmp_path / f"out{len(clip)}")]) == EXIT_OK
+        assert loads == [str(clip2_checkpoint)]
+
+
+@pytest.mark.parametrize("damage", ["truncate", "magic", "header", "blob"])
+def test_rewrite_through_a_damaged_checkpoint_exits_2_naming_the_file(workspace, tmp_path, capsys, damage):
+    raw = (workspace / "ckpt.bin").read_bytes()
+    header_len = int.from_bytes(raw[5:13], "little")
+    bad = {
+        "truncate": raw[: len(raw) // 2],
+        "magic": b"DPRW9" + raw[5:],
+        "header": raw[:13] + raw[13 : 13 + header_len].replace(b'"clip_c": 5.0', b'"clip_c": "5"') + raw[13 + header_len :],
+        "blob": raw + b"\0" * 8,
+    }[damage]
+    assert bad != raw
+    path = tmp_path / f"{damage}.bin"
+    path.write_bytes(bad)
+    out = tmp_path / "out"
+    code = main(["rewrite", "--checkpoint", str(path), "--train", str(workspace / "train.tsv"),
+                 "--epsilon", "10", "--seed", "1", "--out-dir", str(out)])
+    assert code == EXIT_RUNTIME
+    assert f"checkpoint {path}: " in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork", reason="workers must inherit the patch")
+def test_a_failing_worker_names_its_unit(workspace, tmp_path, capsys, monkeypatch):
+    real = dprw.pipeline.pretrain
+
+    def failing(dataset, config, seed):
+        if seed == 3:
+            raise ValueError("injected failure")
+        return real(dataset, config, seed)
+
+    monkeypatch.setattr(dprw.pipeline, "pretrain", failing)
+    out = tmp_path / "pre"
+    train = workspace / "train.tsv"
+    code = main(["pretrain", "--train", str(train), "--out-dir", str(out), "--jobs", "2",
+                 "--seed", "2", "--seed", "3", "--seed", "4", *FAST_AE])
+    assert code == EXIT_RUNTIME
+    assert f"error: pretrain unit ({train}, seed 3): injected failure" in capsys.readouterr().err
+    assert not out.exists()

@@ -447,3 +447,87 @@ def test_finite_difference_check_reports_worst_parameter():
     assert report.ok
     assert report.worst_param in ("", "x")
     assert report.max_rel_error < 1e-4
+
+
+# -- precision follows the inputs ------------------------------------------------------
+
+
+def _graph_of_every_op(dtype) -> tuple[Tape, dict, object]:
+    """Leaves and parameters of ``dtype`` through every tape op, ending in a
+    scalar loss: row_select, both gru_pass forms (masked, all states),
+    clip_rows_l1 with a clipped and an inside row, matmul, both adds and
+    softmax_cross_entropy."""
+    rng = Rng(21)
+    x, h0, w = gru_inputs(rng, 3, 2, 3, 4)
+    t = Tape()
+    leaves = {
+        "table": t.leaf(x.astype(dtype)),
+        "h0": t.leaf(h0.astype(dtype)),
+        "out_w": t.leaf(rng.derive("out_w").normal(0.0, 1.0, (4, 5)).astype(dtype)),
+        "out_b": t.leaf(np.zeros(5, dtype=dtype)),
+        **{k: t.leaf(v.astype(dtype)) for k, v in w.items()},
+    }
+    weights = [leaves[k] for k in GRU_GATES]
+    xs = t.row_select(leaves["table"], [5, 0, 3, 3, 1, 2])
+    final = t.gru_pass(xs, leaves["h0"], weights, mask=np.array([[1, 1], [1, 0], [0, 0]], dtype=bool))
+    norms = np.abs(final.value).sum(axis=1)
+    assert norms[0] != norms[1]
+    latent = t.clip_rows_l1(final, float(norms.mean()))  # one row clipped, one inside
+    states = t.gru_pass(xs, latent, weights, all_states=True)
+    logits = t.add(t.add(t.matmul(states, leaves["out_w"]), leaves["out_b"]), t.matmul(states, leaves["out_w"]))
+    loss = t.softmax_cross_entropy(logits, np.array([0, 4, 1, -1, 2, 3]), ignore_id=-1)
+    return t, leaves, loss
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_every_tape_value_and_gradient_keeps_the_input_precision(dtype):
+    t, leaves, loss = _graph_of_every_op(dtype)
+    t.backward(loss)
+    assert [n.name for n in t.nodes] == [
+        "row_select", "gru_pass", "clip_rows_l1", "gru_pass", "matmul", "add", "matmul", "add",
+        "softmax_cross_entropy",
+    ]
+    for node in [*t.nodes, *leaves.values()]:
+        assert node.value.dtype == dtype, node.name
+        assert node.grad is not None and np.asarray(node.grad).dtype == dtype, node.name
+
+
+def test_float32_tape_matches_float64_to_float32_precision():
+    runs = {}
+    for dtype in (np.float32, np.float64):
+        t, leaves, loss = _graph_of_every_op(dtype)
+        t.backward(loss)
+        runs[dtype] = (float(loss.value), {k: leaf.grad for k, leaf in leaves.items()})
+    (loss32, grads32), (loss64, grads64) = runs[np.float32], runs[np.float64]
+    assert loss32 == pytest.approx(loss64, rel=1e-5)
+    for k, g in grads64.items():
+        np.testing.assert_allclose(grads32[k], g, rtol=1e-3, atol=1e-5, err_msg=k)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_shared_math_and_adam_keep_the_input_precision(dtype):
+    rng = Rng(22)
+    x = rng.normal(0.0, 3.0, (4, 6)).astype(dtype)
+    assert sigmoid(x).dtype == dtype
+    assert sigmoid(x.copy(), out=x.copy()).dtype == dtype
+    probs, log_z = dprw.numcore.softmax(x)
+    assert probs.dtype == log_z.dtype == dtype
+    clipped, norms, scale = clip_rows_l1(x, float(np.median(np.abs(x).sum(axis=1))))
+    assert clipped.dtype == norms.dtype == scale.dtype == dtype
+    assert (scale < 1).any() and (scale == 1).any()
+    _, h, w = gru_inputs(rng, 1, 4, 3, 2)
+    wx, bias, u = split_gru_weights([w[k].astype(dtype) for k in GRU_GATES])
+    xp = rng.normal(0.0, 1.0, (4, 6)).astype(dtype)
+    h_new, cache = gru_cell(xp, h.astype(dtype), u)
+    assert h_new.dtype == dtype and all(c.dtype == dtype for c in cache)
+    params = {"p": x.copy()}
+    state = AdamState.init(params)
+    for _ in range(3):
+        adam_step(params, {"p": x * x}, lr=0.01, state=state)
+    assert params["p"].dtype == state.m["p"].dtype == state.v["p"].dtype == dtype
+
+
+def test_other_inputs_become_float64():
+    t = Tape()
+    for value in ([1, 2], np.array([1, 2], dtype=np.int64), np.array([1.0], dtype=np.float16), 3.0):
+        assert t.leaf(value).value.dtype == np.float64

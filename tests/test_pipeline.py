@@ -102,12 +102,11 @@ def test_config_to_dict_lists_every_field_with_privacy_flattened(tmp_path):
         out_dir=str(tmp_path),
         train_path="t.tsv",
         checkpoint_in="c.bin",
-        privacy=PrivacyParams(epsilon=math.inf, clip_c=2.0),
+        epsilon=math.inf, clip_c=2.0,
         classifier=TINY_CLF,
     )
     resolved = config.to_dict()
-    names = {f.name for f in dataclasses.fields(ExperimentConfig)} - {"privacy"}
-    assert set(resolved) == names | {"epsilon", "clip_c"}
+    assert set(resolved) == {f.name for f in dataclasses.fields(ExperimentConfig)}
     assert (resolved["epsilon"], resolved["clip_c"]) == ("inf", 2.0)
     assert resolved["classifier"] == {"embed_dim": 64, "learning_rate": 0.01, "epochs": 4, "batch_size": 32}
     assert resolved["autoencoder"] == AutoencoderConfig().to_dict()
@@ -264,7 +263,7 @@ def test_rewrite_never_updates_parameters(corpora, tmp_path, monkeypatch):
             train_path=str(corpora["dirs"]["flights"] / "train.tsv"),
             validation_path=str(corpora["dirs"]["flights"] / "validation.tsv"),
             checkpoint_in=corpora["checkpoint"],
-            privacy=PrivacyParams(epsilon=100.0, clip_c=5.0),
+            epsilon=100.0, clip_c=5.0,
             seeds=[1],
         )
     )
@@ -279,7 +278,7 @@ def test_rewrite_records_the_checkpoint_autoencoder_config(corpora, tmp_path):
             out_dir=str(out),
             train_path=str(corpora["dirs"]["flights"] / "train.tsv"),
             checkpoint_in=corpora["checkpoint"],
-            privacy=PrivacyParams(epsilon=100.0, clip_c=5.0),
+            epsilon=100.0, clip_c=5.0,
             seeds=[1],
         )
     )
@@ -301,7 +300,7 @@ def test_rewrite_outputs_never_include_a_test_split(corpora, tmp_path):
             train_path=str(corpora["dirs"]["flights"] / "train.tsv"),
             validation_path=str(corpora["dirs"]["flights"] / "validation.tsv"),
             checkpoint_in=corpora["checkpoint"],
-            privacy=PrivacyParams(epsilon=10.0, clip_c=5.0),
+            epsilon=10.0, clip_c=5.0,
             seeds=[1],
         )
     )
@@ -470,7 +469,7 @@ def test_jobs_do_not_change_results(corpora, tmp_path):
                 out_dir=str(out),
                 train_path=str(corpora["dirs"]["flights"] / "train.tsv"),
                 checkpoint_in=corpora["checkpoint"],
-                privacy=PrivacyParams(epsilon=10.0, clip_c=5.0),
+                epsilon=10.0, clip_c=5.0,
                 seeds=[1, 2],
                 jobs=jobs,
             )
