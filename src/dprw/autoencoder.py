@@ -131,10 +131,13 @@ class Autoencoder:
     holds float64 parameters, so inference runs in float64; ``pretrain``
     narrows its model's parameters to float32 for training. Inference
     takes each token's input projection from a per-side (V, 3H) table, the
-    embedding projected once; the tables and split weights are built on
-    first use and dropped by ``train_step``, so code that edits
+    embedding projected once, and the hidden side from the split weights
+    (u_zr, u_h), u_zr a (H, 2H) copy; the tables and split weights are
+    built on first use and dropped by ``train_step``, so code that edits
     ``parameters`` in place some other way must build a new model before
-    running inference.
+    running inference. The inference loops make as few numpy calls per
+    step as they can, since most rewrite requests carry one document and
+    a call costs about the same at any size there.
     """
 
     def __init__(
@@ -202,53 +205,55 @@ class Autoencoder:
     def encode_batch(self, ids: Array) -> Array:
         """Final encoder hidden states for a padded (B, T) id matrix.
 
-        The hidden state freezes on PAD steps so padding never moves it.
+        The hidden state freezes on PAD steps so padding never moves it;
+        the freeze is applied only at steps where some row holds PAD.
         """
         ids = np.asarray(ids)
         if ids.ndim != 2 or ids.shape[1] == 0:
             raise ValueError("ids must be a non-empty (batch, time) matrix")
+        keep = ids.T != PAD_ID
+        partial = (~keep.all(axis=1)).tolist()
         h = np.zeros((ids.shape[0], self.config.hidden_dim))
         table, u = self._gru_inference("enc")
-        for step in ids.T:
+        for step, step_keep, pad in zip(ids.T, keep, partial):
             h_new = gru_cell(table[step], h, u)[0]  # no cache kept across steps: peak memory
-            h = np.where((step != PAD_ID)[:, None], h_new, h)
+            h = np.where(step_keep[:, None], h_new, h) if pad else h_new
         return h
 
     def decode_greedy_batch(self, latents: Array, max_len: int | None = None) -> list[list[int]]:
         """Greedy decode each latent: SOS start, argmax steps, stop at EOS.
 
         Every output is bracketed as [SOS, ...content..., EOS]; EOS is
-        forced when the content budget runs out.
+        forced when the content budget runs out. A row that has emitted
+        EOS keeps stepping until every row has, and what it emits after
+        its first EOS is dropped: each GEMM row depends only on its own
+        inputs and the batch shape never changes, so the other rows'
+        outputs are the ones a frozen row would leave them.
         """
         latents = np.asarray(latents)
         if latents.ndim != 2 or latents.shape[1] != self.config.hidden_dim:
             raise ValueError("latents must be (batch, hidden_dim)")
         limit = self.config.max_len if max_len is None else max_len
-        b = latents.shape[0]
-        h = latents.copy()
+        h = latents
         table, u = self._gru_inference("dec")
-        tokens = np.full(b, SOS_ID, dtype=np.int64)
-        done = np.zeros(b, dtype=bool)
-        eos_step = np.full(b, -1)
+        out_w, out_b = self.parameters["out_w"], self.parameters["out_b"]
+        tokens = np.full(latents.shape[0], SOS_ID, dtype=np.int64)
+        done = np.zeros(latents.shape[0], dtype=bool)
         emitted = []
-        for step_i in range(limit + 1):  # +1 so EOS can follow a full-budget output
+        for _ in range(limit + 1):  # +1 so EOS can follow a full-budget output
+            h = gru_cell(table[tokens], h, u)[0]
+            logits = h @ out_w
+            logits += out_b
+            tokens = logits.argmax(axis=1)
+            emitted.append(tokens)
+            done |= tokens == EOS_ID
             if done.all():
                 break
-            h = np.where(done[:, None], h, gru_cell(table[tokens], h, u)[0])
-            logits = h @ self.parameters["out_w"] + self.parameters["out_b"]
-            nxt = np.argmax(logits, axis=1)
-            emitted.append(np.where(done, PAD_ID, nxt))
-            newly_done = ~done & (nxt == EOS_ID)
-            eos_step[newly_done] = step_i
-            done |= newly_done
-            tokens = np.where(done, tokens, nxt)
-        grid = np.stack(emitted, axis=1) if emitted else np.zeros((b, 0), dtype=np.int64)
-        out: list[list[int]] = []
-        for i in range(b):
-            end = eos_step[i] if eos_step[i] >= 0 else grid.shape[1]
-            content = [int(t) for t in grid[i, :end]][:limit]
-            out.append([SOS_ID] + content + [EOS_ID])
-        return out
+        rows = np.stack(emitted, axis=1).tolist() if emitted else [[] for _ in latents]
+        return [
+            [SOS_ID] + (row[: row.index(EOS_ID)] if EOS_ID in row else row)[:limit] + [EOS_ID]
+            for row in rows
+        ]
 
     # -- training -----------------------------------------------------------
 

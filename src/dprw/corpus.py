@@ -60,11 +60,17 @@ def load_split(path: str | Path) -> list[Document]:
     """Read one split file; malformed lines are reported with their number.
 
     A leading UTF-8 byte-order mark is dropped, not read into the first label.
+    Bytes that are not UTF-8 are decoded as lone surrogates, so the line
+    that holds them can be named.
     """
     path = Path(path)
     docs = []
-    with open(path, encoding="utf-8-sig") as fh:
+    with open(path, encoding="utf-8-sig", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
+            try:
+                line.encode("utf-8")
+            except UnicodeEncodeError:
+                raise DatasetFormatError(f"{path}:{lineno}: not valid UTF-8") from None
             line = line.rstrip("\n").rstrip("\r")
             if "\t" not in line:
                 raise DatasetFormatError(f"{path}:{lineno}: missing TAB separator")

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -78,13 +79,19 @@ class Rng:
     ``Rng(seed).derive("rewrite", doc_index)`` always yields the same
     stream for the same (seed, purpose) path, regardless of which other
     streams were consumed first. Identical seed implies a bit-identical
-    stream.
+    stream. The path is hashed (and its keys checked) at construction, but
+    the generator is seeded on the first draw: seeding costs more than the
+    hash, and roots and intermediate streams often only derive.
     """
 
     def __init__(self, seed: int, _path: tuple = ()):
         self.seed = int(seed)
         self.path = _path
-        self._gen = np.random.Generator(np.random.PCG64(_stream_key(self.seed, _path)))
+        self._key = _stream_key(self.seed, _path)
+
+    @cached_property
+    def _gen(self) -> np.random.Generator:
+        return np.random.Generator(np.random.PCG64(self._key))
 
     def derive(self, *keys: int | str) -> "Rng":
         return Rng(self.seed, self.path + keys)
@@ -127,32 +134,32 @@ def sigmoid(x: Array, out: Array | None = None) -> Array:
     return e
 
 
-def split_gru_weights(weights: Sequence[Array]) -> tuple[Array, Array, tuple[Array, Array, Array]]:
+def split_gru_weights(weights: Sequence[Array]) -> tuple[Array, Array, tuple[Array, Array]]:
     """Split one side's (wz, bz, wr, br, wh, bh), each w of shape (E + H, H)
     with the x rows first, into the input side ``wx`` (E, 3H) and ``b``
-    (3H,), taken as one projection of all steps, and the hidden-side rows
-    ``u`` = (wz[E:], wr[E:], wh[E:]), views that ``gru_cell`` applies per
-    step."""
+    (3H,), taken as one projection of all steps, and the hidden side
+    ``u`` = (u_zr, u_h) that ``gru_cell`` applies per step: u_zr =
+    [wz[E:], wr[E:]] side by side (H, 2H), a copy, so the z and r terms
+    are one GEMM, and u_h = wh[E:], a view."""
     wz, bz, wr, br, wh, bh = weights
     e = wz.shape[0] - wz.shape[1]
     wx = np.concatenate([wz[:e], wr[:e], wh[:e]], axis=1)
-    return wx, np.concatenate([bz, br, bh]), (wz[e:], wr[e:], wh[e:])
+    u_zr = np.concatenate([wz[e:], wr[e:]], axis=1)
+    return wx, np.concatenate([bz, br, bh]), (u_zr, wh[e:])
 
 
-def gru_cell(xp: Array, h: Array, u: tuple[Array, Array, Array]) -> tuple[Array, tuple]:
+def gru_cell(xp: Array, h: Array, u: tuple[Array, Array]) -> tuple[Array, tuple]:
     """One GRU step (Cho et al. 2014) over a batch of rows, hidden side only.
 
-    ``xp`` is the step's input projection x wx + b and ``u`` the hidden
-    rows (``split_gru_weights``), with the z, r and candidate blocks side
-    by side: [z, r] = sigmoid(xp[:, :2H] + [h u_z, h u_r]),
+    ``xp`` is the step's input projection x wx + b and ``u`` = (u_zr, u_h)
+    the hidden rows (``split_gru_weights``), with the z, r and candidate
+    blocks side by side: [z, r] = sigmoid(xp[:, :2H] + h u_zr),
     cand = tanh(xp[:, 2H:] + (r * h) u_h), h' = (1 - z) * h + z * cand.
     Returns h' and the intermediates ``gru_cell_vjp`` needs.
     """
-    u_z, u_r, u_h = u
+    u_zr, u_h = u
     hd = h.shape[1]
-    zr = np.empty((h.shape[0], 2 * hd), dtype=h.dtype)
-    np.matmul(h, u_z, out=zr[:, :hd])
-    np.matmul(h, u_r, out=zr[:, hd:])
+    zr = h @ u_zr
     zr += xp[:, : 2 * hd]
     sigmoid(zr, out=zr)
     z = zr[:, :hd]
@@ -168,8 +175,8 @@ def gru_cell(xp: Array, h: Array, u: tuple[Array, Array, Array]) -> tuple[Array,
 
 def gru_cell_vjp(g: Array, h: Array, u_zr: Array, u_h: Array, cache: tuple, da: Array) -> Array:
     """Backward of one ``gru_cell`` step for output gradient ``g``; ``u_zr``
-    is [u_z, u_r] side by side (H, 2H), so the z and r terms of dh are one
-    GEMM.
+    and ``u_h`` are the forward's hidden rows, so the z and r terms of dh
+    are one GEMM.
 
     Writes the gradient at the step's pre-activations, which is also the
     gradient of its input projection, into ``da`` (B, 3H) and returns the
@@ -370,7 +377,7 @@ class Tape:
         grads: list = []
 
         def backward(g):
-            u_zr = np.concatenate(u[:2], axis=1)
+            u_zr, u_h = u
             g_steps = g.reshape(steps, b, hd) if all_states else None
             da = np.empty((steps, b, 3 * hd), dtype=hs.dtype)
             dh = np.zeros((b, hd), dtype=hs.dtype) if all_states else g
@@ -378,10 +385,10 @@ class Tape:
                 if all_states:
                     dh = dh + g_steps[t]
                 if mask is None:
-                    dh = gru_cell_vjp(dh, hs[t], u_zr, u[2], caches[t], da[t])
+                    dh = gru_cell_vjp(dh, hs[t], u_zr, u_h, caches[t], da[t])
                 else:
                     keep = mask[t][:, None]
-                    dh = gru_cell_vjp(dh * keep, hs[t], u_zr, u[2], caches[t], da[t]) + dh * ~keep
+                    dh = gru_cell_vjp(dh * keep, hs[t], u_zr, u_h, caches[t], da[t]) + dh * ~keep
             da = da.reshape(steps * b, 3 * hd)
             dwx = x.value.T @ da
             db = da.sum(axis=0)

@@ -16,6 +16,12 @@ step, ``where_rows`` freezing PAD rows and the decoder's step logits
 concatenated. It shares the tape's leaf, matmul, add, row_select, clip
 and cross-entropy ops and ``sigmoid`` with the package.
 
+The inference-loop oracles freeze rows at every step: the encoder
+applies ``np.where`` at every step, and the decoder freezes a finished
+row's state and token and fills PAD after its EOS. They share
+``gru_cell`` and the inference tables with the package, so the package's
+loops, which skip that work, must match them exactly.
+
 The classifier oracle is the tape the classifier trained with before its
 gradient was written by hand.
 """
@@ -29,7 +35,7 @@ import numpy as np
 
 from dprw.corpus import EOS_ID, PAD_ID, SOS_ID, Document, tokenize
 from dprw.metrics import LeakReport
-from dprw.numcore import Tape, sigmoid
+from dprw.numcore import Tape, gru_cell, sigmoid
 
 
 def _ngram_list(tokens: list[str], n: int) -> list[tuple[str, ...]]:
@@ -329,6 +335,47 @@ def decode_greedy_batch_per_step(model, latents):
                 break
             content.append(token)
         out.append([SOS_ID] + content[:limit] + [EOS_ID])
+    return out
+
+
+def encode_batch_freeze_every_step(model, ids):
+    """``Autoencoder.encode_batch`` with ``np.where`` at every step."""
+    ids = np.asarray(ids)
+    h = np.zeros((ids.shape[0], model.config.hidden_dim))
+    table, u = model._gru_inference("enc")
+    for step in ids.T:
+        h_new = gru_cell(table[step], h, u)[0]
+        h = np.where((step != PAD_ID)[:, None], h_new, h)
+    return h
+
+
+def decode_greedy_batch_freeze_rows(model, latents, max_len=None):
+    """``Autoencoder.decode_greedy_batch`` with finished rows frozen."""
+    limit = model.config.max_len if max_len is None else max_len
+    b = latents.shape[0]
+    h = latents.copy()
+    table, u = model._gru_inference("dec")
+    tokens = np.full(b, SOS_ID, dtype=np.int64)
+    done = np.zeros(b, dtype=bool)
+    eos_step = np.full(b, -1)
+    emitted = []
+    for step_i in range(limit + 1):
+        if done.all():
+            break
+        h = np.where(done[:, None], h, gru_cell(table[tokens], h, u)[0])
+        logits = h @ model.parameters["out_w"] + model.parameters["out_b"]
+        nxt = np.argmax(logits, axis=1)
+        emitted.append(np.where(done, PAD_ID, nxt))
+        newly_done = ~done & (nxt == EOS_ID)
+        eos_step[newly_done] = step_i
+        done |= newly_done
+        tokens = np.where(done, tokens, nxt)
+    grid = np.stack(emitted, axis=1) if emitted else np.zeros((b, 0), dtype=np.int64)
+    out = []
+    for i in range(b):
+        end = eos_step[i] if eos_step[i] >= 0 else grid.shape[1]
+        content = [int(t) for t in grid[i, :end]][:limit]
+        out.append([SOS_ID] + content + [EOS_ID])
     return out
 
 

@@ -10,7 +10,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import (
+    decode_greedy_batch_freeze_rows,
     decode_greedy_batch_per_step,
+    encode_batch_freeze_every_step,
     encode_batch_per_step,
     loss_and_grads_per_step,
 )
@@ -231,6 +233,21 @@ def test_decode_tokens_match_the_per_step_oracle(trained, epsilon):
     assert len({tuple(d) for d in decoded}) > 1
 
 
+@pytest.mark.parametrize(
+    "ids",
+    [
+        [[1, 5, 0, 6, 2], [1, 4, 5, 6, 2]],  # interior PAD
+        [[1, 5, 0, 6], [1, 4, 0, 0], [1, 7, 0, 8]],  # an all-PAD column
+        [[1, 4, 5, 6, 2], [1, 7, 2, 0, 0], [1, 8, 9, 2, 0]],  # ragged right padding
+        [[1, 4, 5, 6, 2]],  # a single unpadded row
+    ],
+)
+def test_encode_batch_equals_the_freeze_every_step_loop(ids):
+    model = tiny_model()
+    ids = np.array(ids)
+    np.testing.assert_array_equal(model.encode_batch(ids), encode_batch_freeze_every_step(model, ids))
+
+
 # -- decoding ----------------------------------------------------------------------
 
 
@@ -247,6 +264,22 @@ def test_decode_is_deterministic():
     model = tiny_model()
     latents = model.encode_batch(doc_batch(model))
     assert model.decode_greedy_batch(latents) == model.decode_greedy_batch(latents)
+
+
+@pytest.mark.parametrize("max_len", [0, 1, 2, 3, None])
+@pytest.mark.parametrize("eos_bias", [-30.0, 1.0, 30.0])
+def test_decode_equals_the_freeze_rows_loop(eos_bias, max_len):
+    # the EOS bias sets the mix: -30 never emits EOS, so every row hits the
+    # limit; 30 ends every row at step 0; 1 ends rows at steps 0 to 6
+    model = tiny_model()
+    params = {**model.parameters, "out_b": model.parameters["out_b"].copy()}
+    params["out_b"][EOS_ID] = eos_bias
+    model = Autoencoder(model.config, model.vocabulary, params)
+    latents = Rng(31).normal(0.0, 2.0, (16, model.config.hidden_dim))
+    for batch in (latents, latents[:3], latents[5:6]):
+        assert model.decode_greedy_batch(batch, max_len) == decode_greedy_batch_freeze_rows(model, batch, max_len)
+    lengths = {len(seq) - 2 for seq in model.decode_greedy_batch(latents)}
+    assert lengths == {-30.0: {6}, 1.0: {0, 1, 2, 3, 4, 6}, 30.0: {0}}[eos_bias]
 
 
 def test_decode_rejects_bad_latent_shape():

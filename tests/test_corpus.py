@@ -1,7 +1,9 @@
 """TSV loading, tokenization, vocabulary, and id round-trips."""
 
+import re
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from dprw.corpus import (
@@ -49,6 +51,39 @@ def test_load_split_reports_file_and_line_on_bad_rows(tmp_path):
     path.write_text("ok\tfine\nno tab here\n")
     with pytest.raises(DatasetFormatError, match=r"bad\.tsv:2"):
         load_split(path)
+
+
+@pytest.mark.parametrize(
+    "raw, lineno",
+    [
+        (b"ok\tfine\n\xffok\tbad\n", 2),
+        (b"\xef\xbb\xbfok\tfine\nok\tfine\nok\tcaf\xc3\n", 3),  # after a BOM
+        (b"\xff\xfeo\x00k\x00", 1),  # UTF-16
+    ],
+)
+def test_load_split_names_the_line_that_is_not_utf8(tmp_path, raw, lineno):
+    path = tmp_path / "bad.tsv"
+    path.write_bytes(raw)
+    with pytest.raises(DatasetFormatError, match=rf"^{re.escape(str(path))}:{lineno}: not valid UTF-8$"):
+        load_split(path)
+
+
+_TSV_BYTES = [b"a", b"b c", b"\t", b"\n", b"\r", b"\r\n", b" ", b"\xef\xbb\xbf", b"\xc3\xa9", b"\xc3", b"\xff", b"\xed\xa0\x80"]
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(raw=st.binary(max_size=48) | st.lists(st.sampled_from(_TSV_BYTES), max_size=24).map(b"".join))
+def test_load_split_fuzz_gives_documents_or_an_error_naming_file_and_line(tmp_path, raw):
+    path = tmp_path / "fuzz.tsv"
+    path.write_bytes(raw)
+    try:
+        docs = load_split(path)
+    except DatasetFormatError as exc:
+        match = re.match(rf"{re.escape(str(path))}:(\d+): ", str(exc))
+        assert match, str(exc)
+        assert 1 <= int(match.group(1)) <= 1 + raw.count(b"\n") + raw.count(b"\r")
+    else:
+        assert all(d.label.strip() and d.text.strip() and "\t" not in d.label for d in docs)
 
 
 def test_load_split_rejects_empty_fields(tmp_path):

@@ -54,6 +54,29 @@ def test_rng_nested_derive_matches_flat_path():
     )
 
 
+def test_rng_draws_are_pinned():
+    assert Rng(42).derive("x").random(4).tolist() == [
+        0.23161295540237015, 0.4873998642893984, 0.13442057995113255, 0.28781333273020326,
+    ]
+    assert Rng(3).derive("rewrite", "train", 0).random(4).tolist() == [
+        0.791451157294931, 0.9268650154970501, 0.5235678979139854, 0.6426730812229813,
+    ]
+    assert Rng(3).derive("rewrite").derive("train", 0).normal(0, 1, 2).tolist() == [
+        -0.6174622771788212, -0.6230289903865702,
+    ]
+    assert Rng(5).integers(0, 1000, 3).tolist() == [878, 250, 753]
+
+
+def test_rng_seeds_a_generator_only_on_its_first_draw(monkeypatch):
+    seeded = []
+    real = np.random.PCG64
+    monkeypatch.setattr(np.random, "PCG64", lambda key: seeded.append(key) or real(key))
+    leaf = Rng(3).derive("rewrite").derive("train", 0)
+    assert seeded == []
+    first = leaf.random(2)
+    assert leaf.random(2).tolist() != first.tolist() and len(seeded) == 1
+
+
 def test_rng_rejects_non_int_str_keys():
     with pytest.raises(TypeError):
         Rng(0).derive(1.5)
