@@ -61,17 +61,21 @@ def load_split(path: str | Path) -> list[Document]:
 
     A leading UTF-8 byte-order mark is dropped, not read into the first label.
     Bytes that are not UTF-8 are decoded as lone surrogates, so the line
-    that holds them can be named.
+    that holds them can be named. Records end at LF only; one CR before
+    the LF (a CRLF file) is dropped, and any other CR is refused, since
+    it would otherwise end a record silently.
     """
     path = Path(path)
     docs = []
-    with open(path, encoding="utf-8-sig", errors="surrogateescape") as fh:
+    with open(path, encoding="utf-8-sig", errors="surrogateescape", newline="\n") as fh:
         for lineno, line in enumerate(fh, start=1):
             try:
                 line.encode("utf-8")
             except UnicodeEncodeError:
                 raise DatasetFormatError(f"{path}:{lineno}: not valid UTF-8") from None
-            line = line.rstrip("\n").rstrip("\r")
+            line = line.removesuffix("\n").removesuffix("\r")
+            if "\r" in line:
+                raise DatasetFormatError(f"{path}:{lineno}: carriage return inside a record")
             if "\t" not in line:
                 raise DatasetFormatError(f"{path}:{lineno}: missing TAB separator")
             label, text = line.split("\t", 1)

@@ -8,6 +8,7 @@ deterministic, and has an exactly order-invariant pooling stage.
 
 from __future__ import annotations
 
+import itertools
 import warnings
 from dataclasses import dataclass
 
@@ -59,14 +60,17 @@ def _mean_pool_matrix(docs: list[Document], vocab: Vocabulary) -> Array:
 
     (counts / length) @ embedding is exactly the mean token embedding, so
     pooling is order-invariant by construction; empty docs get a zero row.
+    One ``np.bincount`` over the flat (row, token) cells adds each
+    token's weight 1 / length to a zero in document order, the same
+    float64 sums a per-document ``np.add.at`` makes.
     """
-    pooled = np.zeros((len(docs), len(vocab)))
-    for i, doc in enumerate(docs):
-        ids = [vocab.token_id(t) for t in tokenize(doc.text)]
-        if not ids:
-            continue
-        np.add.at(pooled[i], ids, 1.0 / len(ids))
-    return pooled
+    ids = [[vocab.token_id(t) for t in tokenize(doc.text)] for doc in docs]
+    lengths = np.array([len(row) for row in ids], dtype=np.int64)
+    cells = np.repeat(np.arange(len(docs), dtype=np.int64) * len(vocab), lengths)
+    cells += np.fromiter(itertools.chain.from_iterable(ids), dtype=np.int64, count=int(lengths.sum()))
+    weights = np.repeat(1.0 / np.maximum(lengths, 1), lengths)
+    pooled = np.bincount(cells, weights, minlength=len(docs) * len(vocab))
+    return pooled.astype(np.float64, copy=False).reshape(len(docs), len(vocab))  # no cells: int64 zeros
 
 
 def _logits(pooled: Array, model: ClassifierModel) -> Array:

@@ -12,36 +12,37 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
 from .corpus import Document, tokenize
 
-__all__ = ["bleu", "macro_f1", "unigram_f1", "leak_audit", "LeakReport"]
+__all__ = ["bleu", "bleu_reference", "bleu_counted", "macro_f1", "unigram_f1", "leak_audit", "LeakReport"]
 
 
 def _ngram_counts(tokens: Sequence[str], n: int) -> Counter:
     return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
 
 
-def bleu(hypothesis: Sequence[str], reference: Sequence[str]) -> float:
-    """BLEU-4: geometric mean of clipped n-gram precisions times brevity
-    penalty.
-
-    Zero unigram overlap scores 0.0 outright. Orders n >= 2 with zero
-    matches are smoothed as (m+1)/(t+1), which also neutralizes orders a
-    short hypothesis cannot populate.
-    """
+def bleu_reference(reference: Sequence[str]) -> tuple[int, tuple[Counter, ...]]:
+    """The part of BLEU that depends on the reference alone: its length
+    and its 1- to 4-gram counts, counted once for every hypothesis
+    scored against it."""
     if not reference:
         raise ValueError("reference must be non-empty")
+    return len(reference), tuple(_ngram_counts(reference, n) for n in range(1, 5))
+
+
+def bleu_counted(hypothesis: Sequence[str], reference: tuple[int, tuple[Counter, ...]]) -> float:
+    """``bleu`` of a hypothesis against a ``bleu_reference``: the same
+    arithmetic on the same counts, so the score is the same float."""
+    ref_len, ref_counts = reference
     if not hypothesis:
         return 0.0
     log_sum = 0.0
-    for n in range(1, 5):
-        counts = _ngram_counts(hypothesis, n)
-        matches = sum((counts & _ngram_counts(reference, n)).values())
+    for n, ref_ngrams in enumerate(ref_counts, start=1):
+        matches = sum((_ngram_counts(hypothesis, n) & ref_ngrams).values())
         total = max(len(hypothesis) - n + 1, 0)
         if n == 1:
             if matches == 0:
@@ -52,9 +53,23 @@ def bleu(hypothesis: Sequence[str], reference: Sequence[str]) -> float:
         else:
             precision = matches / total
         log_sum += math.log(precision)
-    c, r = len(hypothesis), len(reference)
-    brevity = 0.0 if c >= r else 1.0 - r / c
+    c = len(hypothesis)
+    brevity = 0.0 if c >= ref_len else 1.0 - ref_len / c
     return math.exp(log_sum / 4.0 + brevity)
+
+
+def bleu(hypothesis: Sequence[str], reference: Sequence[str]) -> float:
+    """BLEU-4: geometric mean of clipped n-gram precisions times brevity
+    penalty.
+
+    Zero unigram overlap scores 0.0 outright. Orders n >= 2 with zero
+    matches are smoothed as (m+1)/(t+1), which also neutralizes orders a
+    short hypothesis cannot populate. This is ``bleu_counted`` against
+    ``bleu_reference(reference)``, the one BLEU implementation; a caller
+    that scores many hypotheses against one reference counts the
+    reference once and calls ``bleu_counted``.
+    """
+    return bleu_counted(hypothesis, bleu_reference(reference))
 
 
 def macro_f1(
@@ -63,8 +78,12 @@ def macro_f1(
     """Unweighted mean of per-label F1 over the full label set.
 
     A label absent from both predictions and gold still divides the mean
-    (its F1 is 0). Computed in exact rational arithmetic and rounded once,
-    so results match hand-worked confusion matrices.
+    (its F1 is 0). Predictions, golds and correct predictions are counted
+    once per label. Label l's F1 is 2 tp / (n_pred + n_gold), and the
+    sum of these is formed exactly in integers over the lcm of the
+    denominators; one correctly rounded int / int division then gives the
+    float nearest the exact rational mean, so results match hand-worked
+    confusion matrices.
     """
     if len(predictions) != len(gold):
         raise ValueError(
@@ -72,15 +91,12 @@ def macro_f1(
         )
     if not gold:
         raise ValueError("gold labels must be non-empty")
-    total = Fraction(0)
-    for label in label_set:
-        tp = sum(1 for p, g in zip(predictions, gold) if p == label and g == label)
-        fp = sum(1 for p, g in zip(predictions, gold) if p == label and g != label)
-        fn = sum(1 for p, g in zip(predictions, gold) if p != label and g == label)
-        denom = 2 * tp + fp + fn
-        if denom:
-            total += Fraction(2 * tp, denom)
-    return float(total / len(label_set))
+    correct = Counter(p for p, g in zip(predictions, gold) if p == g)
+    n_pred, n_gold = Counter(predictions), Counter(gold)
+    terms = [(2 * correct[label], n_pred[label] + n_gold[label]) for label in label_set]
+    common = math.lcm(*(denom for _, denom in terms if denom))
+    numerator = sum(twice_tp * (common // denom) for twice_tp, denom in terms if denom)
+    return numerator / (common * len(label_set))
 
 
 def unigram_f1(a: Sequence[str], b: Sequence[str]) -> float:

@@ -49,7 +49,7 @@ from .downstream import (
     random_baseline,
     train_classifier,
 )
-from .metrics import bleu, leak_audit, macro_f1
+from .metrics import bleu_counted, bleu_reference, leak_audit, macro_f1
 from .numcore import Rng
 
 __all__ = [
@@ -206,8 +206,23 @@ def rewrite_documents(
     """
     if not docs:
         return []
-    ids = pad_batch([encode(doc, model.vocabulary, model.config.max_len) for doc in docs])
-    latents = model.encode_batch(ids)
+    return _privatize_and_decode(model, docs, _encode_documents(model, docs), privacy, seed, split_name)
+
+
+def _encode_documents(model: Autoencoder, docs: list[Document]) -> np.ndarray:
+    """Latents of a non-empty document list; no noise, no epsilon."""
+    return model.encode_batch(pad_batch([encode(doc, model.vocabulary, model.config.max_len) for doc in docs]))
+
+
+def _privatize_and_decode(
+    model: Autoencoder,
+    docs: list[Document],
+    latents: np.ndarray,
+    privacy: PrivacyParams,
+    seed: int,
+    split_name: str,
+) -> list[Document]:
+    """``rewrite_documents`` after the encoder, on ``docs``' latents."""
     if privacy.non_private:
         streams = [None] * len(docs)
     else:
@@ -222,10 +237,13 @@ def rewrite_documents(
     return out
 
 
-def _mean_bleu(rewritten: list[Document], source: list[Document]) -> float:
-    scores = [
-        bleu(tokenize(r.text), tokenize(s.text)) for r, s in zip(rewritten, source)
-    ]
+def _bleu_references(docs: list[Document]) -> list:
+    """Each source document tokenized and its n-grams counted, once."""
+    return [bleu_reference(tokenize(doc.text)) for doc in docs]
+
+
+def _mean_bleu(rewritten: list[Document], references: list) -> float:
+    scores = [bleu_counted(tokenize(r.text), ref) for r, ref in zip(rewritten, references)]
     return float(np.mean(scores)) if scores else 0.0
 
 
@@ -234,7 +252,7 @@ def _reconstruction_bleu(ckpt: AutoencoderCheckpoint, docs: list[Document]) -> f
     model = Autoencoder.from_checkpoint(ckpt)
     non_private = PrivacyParams(epsilon=math.inf, clip_c=ckpt.config.clip_c)
     rewritten = rewrite_documents(model, docs, non_private, seed=0, split_name="recon")
-    return _mean_bleu(rewritten, docs)
+    return _mean_bleu(rewritten, _bleu_references(docs))
 
 
 # -- report writing -----------------------------------------------------------
@@ -331,18 +349,13 @@ def run_pretrain(config: ExperimentConfig) -> dict:
 # -- rewrite mode -------------------------------------------------------------
 
 
-def _rewrite_splits(
-    model: Autoencoder, dataset: LabeledDataset, privacy: PrivacyParams, seed: int
-) -> tuple[list[Document], list[Document]]:
+def _rewrite_unit(payload):
     """Rewrite the train and validation splits; never the test split."""
+    ckpt, dataset, privacy, seed = payload
+    model = Autoencoder.from_checkpoint(ckpt)
     train_rw = rewrite_documents(model, dataset.train, privacy, seed, "train")
     val_rw = rewrite_documents(model, dataset.validation, privacy, seed, "validation")
-    return train_rw, val_rw
-
-
-def _rewrite_unit(payload):
-    ckpt, dataset, privacy, seed = payload
-    return (seed, *_rewrite_splits(Autoencoder.from_checkpoint(ckpt), dataset, privacy, seed))
+    return seed, train_rw, val_rw
 
 
 def run_rewrite(config: ExperimentConfig) -> dict:
@@ -369,10 +382,12 @@ def run_rewrite(config: ExperimentConfig) -> dict:
             for seed in config.seeds
         ],
     )
-    bleu_train = {seed: _mean_bleu(rw_train, dataset.train) for seed, rw_train, _ in results}
+    train_refs = _bleu_references(dataset.train)
+    bleu_train = {seed: _mean_bleu(rw_train, train_refs) for seed, rw_train, _ in results}
     per_seed_metrics = {"bleu_train": _stats_block(bleu_train)}
     if dataset.validation:
-        bleu_val = {seed: _mean_bleu(rw_val, dataset.validation) for seed, _, rw_val in results}
+        val_refs = _bleu_references(dataset.validation)
+        bleu_val = {seed: _mean_bleu(rw_val, val_refs) for seed, _, rw_val in results}
         per_seed_metrics["bleu_validation"] = _stats_block(bleu_val)
 
     rewritten_dir = Path(config.out_dir) / "rewritten"
@@ -467,25 +482,41 @@ def _load_dataset_dir(path: str) -> tuple[str, LabeledDataset]:
 
 
 def _case_unit(payload) -> dict:
-    """One (pretrain corpus, seed) cell: the pretrain unit once, then the
-    rewrite splits, a leak audit and the downstream unit for both corpora
-    at every epsilon."""
+    """One (pretrain corpus, seed) cell: pre-train once, then for both
+    corpora at every epsilon rewrite the train and validation splits, run
+    a leak audit and the downstream unit.
+
+    Deterministic work is done once per unit, and every output is the
+    one the single-stage units give. Each split is encoded once: the
+    encoder draws no noise and never sees epsilon, so each epsilon
+    privatizes and decodes the same latents (one decode call per
+    epsilon and split, since decoded rows are only bitwise stable at a
+    fixed batch). Each source document is tokenized and its n-grams
+    counted once for BLEU. The reconstruction BLEU is the (own corpus,
+    epsilon = inf) bleu_vs_source: at epsilon = inf no noise is drawn,
+    so that rewrite is exactly ``_reconstruction_bleu``'s.
+    """
     pretrain_name, datasets, ae_config, clf_config, leak_margin, seed, keep_docs = payload
     pretrain_docs = datasets[pretrain_name].train
-    _, ckpt, recon = _pretrain_unit((datasets[pretrain_name], ae_config, seed))
+    ckpt = pretrain(datasets[pretrain_name], ae_config, seed)
     model = Autoencoder.from_checkpoint(ckpt)
     out = {
         "pretrain": pretrain_name,
         "seed": seed,
         "final_loss": ckpt.metadata["final_loss"],
-        "reconstruction_bleu": recon,
         "settings": {},
         "rewritten_docs": {},
     }
     for rewrite_name, target in datasets.items():
+        splits = {"train": target.train, "validation": target.validation}
+        latents = {name: _encode_documents(model, docs) for name, docs in splits.items() if docs}
+        train_refs = _bleu_references(target.train)
         for eps in EPSILON_LADDER:
             privacy = PrivacyParams(epsilon=eps, clip_c=ae_config.clip_c)
-            train_rw, val_rw = _rewrite_splits(model, target, privacy, seed)
+            train_rw, val_rw = (
+                _privatize_and_decode(model, docs, latents[name], privacy, seed, name) if docs else []
+                for name, docs in splits.items()
+            )
             audit = leak_audit(train_rw, target.train, pretrain_docs, margin=leak_margin)
             rewritten = replace(target, train=train_rw, validation=val_rw)
             _, f1 = _downstream_unit((rewritten, clf_config, seed))
@@ -493,10 +524,11 @@ def _case_unit(payload) -> dict:
             out["settings"][key] = {
                 "macro_f1": f1,
                 "leak_score": audit.leak_score,
-                "bleu_vs_source": _mean_bleu(train_rw, target.train),
+                "bleu_vs_source": _mean_bleu(train_rw, train_refs),
             }
             if keep_docs:
                 out["rewritten_docs"][key] = (train_rw, val_rw)
+    out["reconstruction_bleu"] = out["settings"][(pretrain_name, epsilon_repr(math.inf))]["bleu_vs_source"]
     return out
 
 

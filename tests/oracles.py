@@ -24,6 +24,11 @@ loops, which skip that work, must match them exactly.
 
 The classifier oracle is the tape the classifier trained with before its
 gradient was written by hand.
+
+The macro-F1 oracle is the per-label scan in ``Fraction`` arithmetic the
+package used before it counted labels once and summed in integers; the
+pooling oracle is the per-document ``np.add.at`` the package used before
+one ``np.bincount``. Both must match the package exactly.
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from dprw.corpus import EOS_ID, PAD_ID, SOS_ID, Document, tokenize
+from dprw.corpus import EOS_ID, PAD_ID, SOS_ID, Document, Vocabulary, tokenize
 from dprw.metrics import LeakReport
 from dprw.numcore import Tape, gru_cell, sigmoid
 
@@ -207,6 +212,31 @@ MACRO_F1_HAND_CASES: list[tuple[list[str], list[str], list[str], Fraction]] = [
         Fraction(3, 4),
     ),
 ]
+
+
+def macro_f1_fraction(predictions: list[str], gold: list[str], label_set: list[str]) -> float:
+    """Macro-F1 as a sum of ``Fraction(2 tp, 2 tp + fp + fn)`` per label,
+    each count a scan of all pairs, rounded once at the end."""
+    total = Fraction(0)
+    for label in label_set:
+        tp = sum(1 for p, g in zip(predictions, gold) if p == label and g == label)
+        fp = sum(1 for p, g in zip(predictions, gold) if p == label and g != label)
+        fn = sum(1 for p, g in zip(predictions, gold) if p != label and g == label)
+        denom = 2 * tp + fp + fn
+        if denom:
+            total += Fraction(2 * tp, denom)
+    return float(total / len(label_set))
+
+
+def mean_pool_matrix_add_at(docs: list[Document], vocab: Vocabulary) -> np.ndarray:
+    """Each document's row filled by its own ``np.add.at`` of 1 / length."""
+    pooled = np.zeros((len(docs), len(vocab)))
+    for i, doc in enumerate(docs):
+        ids = [vocab.token_id(t) for t in tokenize(doc.text)]
+        if not ids:
+            continue
+        np.add.at(pooled[i], ids, 1.0 / len(ids))
+    return pooled
 
 
 # -- the per-step GRU path ---------------------------------------------------------

@@ -126,6 +126,17 @@ def test_a_dataset_that_is_not_utf8_exits_naming_the_file_and_line(workspace, tm
     assert f"error: {train}:2: not valid UTF-8" in capsys.readouterr().err
 
 
+def test_a_carriage_return_inside_a_record_exits_naming_the_file_and_line(workspace, tmp_path, capsys):
+    train = tmp_path / "train.tsv"
+    train.write_bytes(b"a\tbook a flight\rb\tplay music\nc\tstop\n")
+    code = main(
+        ["downstream", "--train", str(train), "--test", str(workspace / "test.tsv"),
+         "--clf-epochs", "1", "--out-dir", str(tmp_path / "out"), "--seed", "1"]
+    )
+    assert code in (EXIT_CONFIG, EXIT_RUNTIME)
+    assert f"error: {train}:1: carriage return inside a record" in capsys.readouterr().err
+
+
 def test_corrupt_checkpoint_is_a_runtime_error(workspace, tmp_path, capsys):
     bad = tmp_path / "bad.bin"
     bad.write_bytes(b"not a checkpoint at all")

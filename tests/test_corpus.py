@@ -81,7 +81,7 @@ def test_load_split_fuzz_gives_documents_or_an_error_naming_file_and_line(tmp_pa
     except DatasetFormatError as exc:
         match = re.match(rf"{re.escape(str(path))}:(\d+): ", str(exc))
         assert match, str(exc)
-        assert 1 <= int(match.group(1)) <= 1 + raw.count(b"\n") + raw.count(b"\r")
+        assert 1 <= int(match.group(1)) <= 1 + raw.count(b"\n")
     else:
         assert all(d.label.strip() and d.text.strip() and "\t" not in d.label for d in docs)
 
@@ -192,3 +192,21 @@ def test_crlf_lines_are_accepted(tmp_path):
     docs = load_split(path)
     assert [d.label for d in docs] == ["lab", "lab2"]
     assert docs[0].text == "some text"
+
+
+@pytest.mark.parametrize(
+    ("raw", "lineno"),
+    [
+        (b"a\tbook a flight\rb\tplay music\nc\tstop\n", 1),  # a lone CR would split line 1
+        (b"a\tfine\nb\tpl\ray\r\n", 2),  # inside a CRLF record
+        (b"a\tfine\r\nb\ttwo\r\r\n", 2),  # two CRs before the LF
+        (b"\ra\tfine\n", 1),
+    ],
+)
+def test_a_carriage_return_inside_a_record_is_refused_naming_its_line(tmp_path, raw, lineno):
+    path = tmp_path / "cr.tsv"
+    path.write_bytes(raw)
+    with pytest.raises(
+        DatasetFormatError, match=rf"^{re.escape(str(path))}:{lineno}: carriage return inside a record$"
+    ):
+        load_split(path)

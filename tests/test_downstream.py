@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import classifier_grads_tape
+from oracles import classifier_grads_tape, mean_pool_matrix_add_at
 
 import dprw.downstream
 from dprw.corpus import Document, build_vocabulary, collect_labels
@@ -95,6 +95,24 @@ def test_each_split_is_pooled_once(monkeypatch, with_validation, pools):
     fit(SEPARABLE_TRAIN, validation, ClassifierConfig(epochs=5))
     assert len(calls) == pools
     assert calls[0] == len(SEPARABLE_TRAIN)
+
+
+# token texts with repeats, tokens outside the vocabulary ("oov", "zz")
+# and empty documents; lengths such as 3 and 7 make 1 / length inexact
+_POOL_TOKENS = ["book", "a", "flight", "play", "music", "oov", "zz"]
+
+
+@given(
+    texts=st.lists(st.lists(st.sampled_from(_POOL_TOKENS), max_size=12).map(" ".join), max_size=10),
+)
+@settings(max_examples=300, deadline=None)
+def test_mean_pool_matrix_equals_per_document_add_at_bit_for_bit(texts):
+    vocab = build_vocabulary([Document("book a flight play music book", "x")])
+    docs = [Document(t, "x") for t in texts]
+    pooled = dprw.downstream._mean_pool_matrix(docs, vocab)
+    expected = mean_pool_matrix_add_at(docs, vocab)
+    assert pooled.dtype == expected.dtype and pooled.shape == expected.shape
+    assert pooled.tobytes() == expected.tobytes()
 
 
 def test_validation_snapshot_takes_earliest_best_epoch():

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dprw.corpus import Document
-from dprw.metrics import bleu, leak_audit, macro_f1, unigram_f1
+from dprw.metrics import bleu, bleu_counted, bleu_reference, leak_audit, macro_f1, unigram_f1
 
 from oracles import (
     CURATED_BLEU_PAIRS,
@@ -17,6 +17,7 @@ from oracles import (
     MACRO_F1_HAND_CASES,
     bleu_brute_force,
     leak_audit_brute_force,
+    macro_f1_fraction,
 )
 
 tokens = st.lists(st.sampled_from(["a", "b", "c", "d", "e"]), max_size=8)
@@ -54,6 +55,16 @@ class TestBleu:
     def test_matches_oracle_on_random_pairs(self, hyp, ref):
         assert bleu(hyp, ref) == pytest.approx(bleu_brute_force(hyp, ref), abs=1e-9)
 
+    def test_counted_reference_equals_bleu_on_curated_pairs(self):
+        for hyp, ref in CURATED_BLEU_PAIRS:
+            assert bleu_counted(hyp, bleu_reference(ref)) == bleu(hyp, ref)
+
+    @given(hyps=st.lists(tokens, min_size=1, max_size=6), ref=nonempty_tokens)
+    @settings(max_examples=300, deadline=None)
+    def test_one_counted_reference_scores_many_hypotheses_as_bleu_does(self, hyps, ref):
+        counted = bleu_reference(ref)
+        assert [bleu_counted(hyp, counted) for hyp in hyps] == [bleu(hyp, ref) for hyp in hyps]
+
     @given(x=nonempty_tokens)
     def test_self_bleu_is_one_and_bounded(self, x):
         assert bleu(x, x) == 1.0
@@ -77,6 +88,33 @@ class TestMacroF1:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             macro_f1([], [], ["a"])
+
+    # predictions and golds may fall outside the label set ("y", "z"), and
+    # label-set entries may be absent from both sides ("f")
+    @given(
+        data=st.lists(
+            st.tuples(st.sampled_from(["a", "b", "c", "d", "z"]), st.sampled_from(["a", "b", "c", "d", "y"])),
+            min_size=1,
+            max_size=60,
+        ),
+        labels=st.lists(st.sampled_from(["a", "b", "c", "d", "f"]), min_size=1, max_size=5, unique=True),
+    )
+    @settings(max_examples=500, deadline=None)
+    def test_equals_the_fraction_oracle_bit_for_bit(self, data, labels):
+        pred = [p for p, _ in data]
+        gold = [g for _, g in data]
+        assert macro_f1(pred, gold, labels) == macro_f1_fraction(pred, gold, labels)
+
+    @given(
+        data=st.lists(st.tuples(st.integers(0, 14), st.integers(0, 14)), min_size=50, max_size=400),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_equals_the_fraction_oracle_on_many_labels(self, data):
+        # many distinct denominators, so the common multiple is large
+        pred = [f"l{p}" for p, _ in data]
+        gold = [f"l{g}" for _, g in data]
+        labels = [f"l{i}" for i in range(15)]
+        assert macro_f1(pred, gold, labels) == macro_f1_fraction(pred, gold, labels)
 
     @given(
         data=st.lists(

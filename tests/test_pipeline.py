@@ -521,6 +521,53 @@ def test_case_study_matrix_is_complete_and_test_is_never_rewritten(corpora, tmp_
     assert "macro-F1" in summary and "original" in summary and "majority" in summary
 
 
+@pytest.mark.parametrize("smart_home_validation", [True, False])
+def test_case_study_encodes_each_split_once_and_reuses_the_inf_row_for_reconstruction(
+    corpora, tmp_path, monkeypatch, smart_home_validation
+):
+    smart_home = corpora["dirs"]["smart_home"]
+    if not smart_home_validation:
+        smart_home = tmp_path / "smart_home"
+        smart_home.mkdir()
+        for split in ("train.tsv", "test.tsv"):
+            (smart_home / split).write_bytes((corpora["dirs"]["smart_home"] / split).read_bytes())
+    batches = []
+    real = dprw.autoencoder.Autoencoder.encode_batch
+
+    def spy(self, ids):
+        batches.append(len(ids))
+        return real(self, ids)
+
+    monkeypatch.setattr(dprw.autoencoder.Autoencoder, "encode_batch", spy)
+    seeds = [1, 2]
+    report = run_case_study(
+        ExperimentConfig(
+            mode="case_study",
+            out_dir=str(tmp_path / "case"),
+            dataset_a=str(corpora["dirs"]["flights"]),
+            dataset_b=str(smart_home),
+            autoencoder=TINY_AE,
+            classifier=TINY_CLF,
+            seeds=seeds,
+        )
+    )
+    # per (pretrain, seed) unit: each corpus's train (24) and validation (8) split once
+    per_unit = [24, 8, 24, 8] if smart_home_validation else [24, 8, 24]
+    assert batches == per_unit * (2 * len(seeds))
+
+    rows = {(r["pretrain"], r["rewrite"], r["epsilon"]): r for r in report["settings"]}
+    for name, metrics in report["pretrain_metrics"].items():
+        for seed in seeds:
+            recon = metrics["reconstruction_bleu"]["per_seed"][str(seed)]
+            assert recon == rows[(name, name, "inf")]["bleu_vs_source"]["per_seed"][str(seed)]
+    # and it is the reconstruction BLEU a pre-train of the same corpus, config and seeds reports
+    pretrained = json.loads((corpora["root"] / "pre" / "report.json").read_text())
+    assert (
+        report["pretrain_metrics"]["flights"]["reconstruction_bleu"]
+        == pretrained["metrics"]["reconstruction_bleu"]
+    )
+
+
 def test_case_study_rejects_same_directory_name(corpora, tmp_path):
     with pytest.raises(ValueError, match="distinct"):
         run_case_study(
