@@ -15,6 +15,8 @@ outputs do:
   case-study-jobs1/     dprw case-study with --jobs 1
   case-study-jobs2/     the same with --jobs 2
   validate-dp/          dprw validate-dp
+  validate-dp-b-half/   the same at 2001 trials with --noise-scale 0.5, half
+                        the calibrated scale, so the audit fails and exits 2
   <step>.stdout         each command's standard output
 
 dprw is imported from the src/ directory beside this script, with one BLAS
@@ -60,7 +62,11 @@ STEPS = [
     ],
     ("validate-dp", ["-m", "dprw", "validate-dp", "--epsilon", "10", "--trials", "2000",
                      "--out-dir", "validate-dp"]),
+    ("validate-dp-b-half", ["-m", "dprw", "validate-dp", "--epsilon", "10", "--trials", "2001",
+                            "--noise-scale", "0.5", "--out-dir", "validate-dp-b-half"]),
 ]
+# steps whose expected exit status is not 0; a failed audit exits 2
+EXIT_CODES = {"validate-dp-b-half": 2}
 
 
 def main() -> int:
@@ -90,7 +96,7 @@ def main() -> int:
             argv = [str(ROOT / argv[0]), *argv[1:]]
         with open(args.out_dir / f"{name}.stdout", "wb") as stdout:
             code = subprocess.run([sys.executable, *argv], cwd=args.out_dir, env=env, stdout=stdout).returncode
-        if code != 0:
+        if code != EXIT_CODES.get(name, 0):
             print(f"cli_snapshot: step {name} exited with {code}", file=sys.stderr)
             return 1
     return 0

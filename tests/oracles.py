@@ -29,6 +29,13 @@ The macro-F1 oracle is the per-label scan in ``Fraction`` arithmetic the
 package used before it counted labels once and summed in integers; the
 pooling oracle is the per-document ``np.add.at`` the package used before
 one ``np.bincount``. Both must match the package exactly.
+
+The bound-suite oracle is the suite the package ran before it streamed
+its trials in blocks: every stream drawn whole, every (trials, dim) array
+held at once, one max and one count over all ratios. It shares the
+Laplace sampler, the row clip, the calibration, ``verify_dp_bound`` and
+the report type with the package, whose blocked suite must give the same
+report, bit for bit.
 """
 
 from __future__ import annotations
@@ -39,8 +46,16 @@ from fractions import Fraction
 import numpy as np
 
 from dprw.corpus import EOS_ID, PAD_ID, SOS_ID, Document, Vocabulary, tokenize
+from dprw.dpmech import (
+    BOUND_TOL,
+    BoundSuiteReport,
+    PrivacyParams,
+    calibrate_scale,
+    sample_laplace,
+    verify_dp_bound,
+)
 from dprw.metrics import LeakReport
-from dprw.numcore import Tape, gru_cell, sigmoid
+from dprw.numcore import Rng, Tape, clip_rows_l1, gru_cell, sigmoid
 
 
 def _ngram_list(tokens: list[str], n: int) -> list[tuple[str, ...]]:
@@ -420,3 +435,74 @@ def classifier_grads_tape(params: dict, pooled, targets) -> dict:
     )
     tape.backward(tape.softmax_cross_entropy(logits, targets, ignore_id=-1))
     return {k: leaf.grad for k, leaf in leaves.items()}
+
+
+# -- the whole-array bound suite ---------------------------------------------------
+
+
+def _random_clipped_batch_whole(rng: Rng, n: int, dim: int, clip_c: float) -> np.ndarray:
+    raw = rng.derive("dir").normal(0.0, 1.0, (n, dim))
+    norms = np.maximum(np.abs(raw).sum(axis=1), 1e-12)
+    radius = clip_c * (0.5 + 0.75 * rng.derive("radius").random(n))
+    return clip_rows_l1(raw * (radius / norms)[:, None], clip_c)[0]
+
+
+def run_bound_suite_whole(
+    params: PrivacyParams, dim: int, trials: int, rng: Rng, noise_scale: float | None = None
+) -> BoundSuiteReport:
+    """``run_bound_suite`` with every (trials, dim) array held at once."""
+    b = calibrate_scale(params) if noise_scale is None else float(noise_scale)
+    c = params.clip_c
+    eps = params.epsilon
+    n_antipodal = max(1, trials // 8)
+    n_random = trials - n_antipodal
+
+    g = rng.derive("suite")
+    ratios_parts = []
+    if n_random:
+        u = _random_clipped_batch_whole(g.derive("u"), n_random, dim, c)
+        v = _random_clipped_batch_whole(g.derive("v"), n_random, dim, c)
+        noise = sample_laplace(b, n_random * dim, g.derive("noise")).reshape(n_random, dim)
+        box = g.derive("box").uniform(-3.0 * c, 3.0 * c, (n_random, dim))
+        style = np.arange(n_random) % 3
+        y = np.where((style == 0)[:, None], u + noise, np.where((style == 1)[:, None], v + noise, box))
+        ratios_parts.append((np.abs(y - v).sum(axis=1) - np.abs(y - u).sum(axis=1)) / b)
+
+    ga = g.derive("antipodal")
+    axes = ga.derive("axis").integers(0, dim, n_antipodal)
+    signs = np.where(ga.derive("signs").random((n_antipodal, dim)) < 0.5, -1.0, 1.0)
+    ua = np.zeros((n_antipodal, dim))
+    on_axis = np.arange(n_antipodal) % 2 == 0
+    ua[on_axis, axes[on_axis]] = c
+    ua[~on_axis] = signs[~on_axis] * (c / dim)
+    reach = 1.0 + 9.0 * ga.derive("reach").random(n_antipodal)
+    ya = ua * reach[:, None]
+    anti_ratios = (np.abs(ya + ua).sum(axis=1) - np.abs(ya - ua).sum(axis=1)) / b
+    ratios_parts.append(anti_ratios)
+
+    ratios = np.abs(np.concatenate(ratios_parts))
+    max_ratio = float(ratios.max())
+    violations = int((ratios > eps + BOUND_TOL).sum())
+    tight = float(np.abs(anti_ratios).max() / eps)
+
+    if noise_scale is None:
+        audit = PrivacyParams(epsilon=eps, clip_c=c)
+        spot = g.derive("spot")
+        n_spot = min(100, trials)
+        su = _random_clipped_batch_whole(spot.derive("u"), n_spot, dim, c)
+        sv = _random_clipped_batch_whole(spot.derive("v"), n_spot, dim, c)
+        sy = su + sample_laplace(b, n_spot * dim, spot.derive("noise")).reshape(n_spot, dim)
+        for i in range(n_spot):
+            check = verify_dp_bound(su[i], sv[i], sy[i], audit)
+            if not check.ok:
+                violations += 1
+            max_ratio = max(max_ratio, abs(check.log_ratio))
+
+    return BoundSuiteReport(
+        epsilon=eps,
+        trials=trials,
+        max_abs_log_ratio=max_ratio,
+        violations=violations,
+        tightness=tight,
+        ok=violations == 0,
+    )

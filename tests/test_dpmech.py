@@ -1,6 +1,7 @@
 """Clipping, calibration, Laplace sampling, and the privacy-bound audit."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dprw.dpmech import (
+    _BLOCK_VALUES,
     BOUND_TOL,
     PrivacyParams,
     calibrate_scale,
@@ -19,6 +21,7 @@ from dprw.dpmech import (
     verify_dp_bound,
 )
 from dprw.numcore import Rng, Tape
+from oracles import run_bound_suite_whole
 
 # -- parameters ------------------------------------------------------------------
 
@@ -225,6 +228,77 @@ def test_bound_suite_is_deterministic():
     a = run_bound_suite(params, dim=16, trials=2000, rng=Rng(9).derive("suite"))
     b = run_bound_suite(params, dim=16, trials=2000, rng=Rng(9).derive("suite"))
     assert a == b
+
+
+class _NoStreams:
+    def derive(self, *keys):
+        raise AssertionError("the suite drew randomness before refusing its arguments")
+
+
+@pytest.mark.parametrize("scale", [math.nan, math.inf, 0.0, -1.0])
+def test_bound_suite_refuses_a_scale_that_is_not_positive_and_finite(scale):
+    with pytest.raises(ValueError, match="noise_scale must be positive and finite"):
+        run_bound_suite(PrivacyParams(epsilon=10.0, clip_c=5.0), 8, 100, _NoStreams(), noise_scale=scale)
+
+
+def _report_bits(report):
+    return (
+        report.epsilon.hex(),
+        report.trials,
+        report.max_abs_log_ratio.hex(),
+        report.violations,
+        report.tightness.hex(),
+        report.ok,
+    )
+
+
+def _block_edge_trials(dim):
+    """Trial counts around the block edges: of the antipodal part at
+    8 * rows, of the random part where trials - trials // 8 meets rows."""
+    rows = max(1, _BLOCK_VALUES // dim)
+    counts = {1, 8, 9, rows - 1, rows, rows + 1, 8 * rows + 1, 5000}
+    counts |= {t for t in range(rows, 2 * rows) if t - max(1, t // 8) in (rows - 1, rows, rows + 1)}
+    return sorted(counts)
+
+
+@pytest.mark.parametrize("noise_scale", [None, 0.5])
+@pytest.mark.parametrize("dim", [1, 3, 128, 300])  # 300: an odd row count per block
+def test_blocked_bound_suite_matches_the_whole_array_oracle_bit_for_bit(dim, noise_scale):
+    for eps in (10.0, 1.0):
+        params = PrivacyParams(epsilon=eps, clip_c=5.0)
+        for trials in _block_edge_trials(dim):
+            rng = Rng(12).derive("suite", dim, trials)
+            got = run_bound_suite(params, dim, trials, rng, noise_scale=noise_scale)
+            want = run_bound_suite_whole(params, dim, trials, rng, noise_scale=noise_scale)
+            assert _report_bits(got) == _report_bits(want), (dim, trials, eps)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32),
+    dim=st.integers(1, 300),
+    trials=st.integers(1, 3000),
+    eps=st.sampled_from([1000.0, 100.0, 10.0, 1.0, 0.1]),
+    miscalibrated=st.booleans(),
+)
+def test_blocked_bound_suite_matches_the_oracle_on_random_shapes(seed, dim, trials, eps, miscalibrated):
+    params = PrivacyParams(epsilon=eps, clip_c=5.0)
+    noise_scale = 5.0 / eps if miscalibrated else None
+    rng = Rng(seed).derive("prop")
+    got = run_bound_suite(params, dim, trials, rng, noise_scale=noise_scale)
+    assert _report_bits(got) == _report_bits(run_bound_suite_whole(params, dim, trials, rng, noise_scale))
+
+
+def test_bound_suite_memory_does_not_grow_with_trials():
+    # the whole-array oracle peaks near 600 MiB here; the blocks near 3 MiB
+    tracemalloc.start()
+    try:
+        report = run_bound_suite(PrivacyParams(epsilon=10.0, clip_c=5.0), 128, 100_000, Rng(4).derive("mem"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.ok
+    assert peak < 8 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 @settings(max_examples=30, deadline=None)
