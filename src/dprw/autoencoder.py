@@ -28,7 +28,10 @@ from .corpus import (
     build_vocabulary,
     encode,
 )
-from .numcore import AdamState, Array, NonFiniteError, Rng, Tape, adam_step, gru_cell, split_gru_weights
+from .numcore import (
+    AdamState, Array, NonFiniteError, Rng, Tape, adam_step, clip_rows_l1, clip_rows_l1_vjp,
+    gru_cell, gru_pass, require_finite, rows_grad, softmax_cross_entropy, split_gru_weights,
+)
 
 __all__ = [
     "AutoencoderConfig",
@@ -117,18 +120,17 @@ class AutoencoderCheckpoint:
     metadata: dict = field(default_factory=dict)
 
 
-def _gru_weights(params: dict, side: str) -> tuple:
-    """One side's (wz, bz, wr, br, wh, bh) in ``split_gru_weights`` order;
-    the values are arrays for inference and tape nodes for training."""
-    return tuple(params[f"{side}_{name}"] for name in ("wz", "bz", "wr", "br", "wh", "bh"))
+def _gru_names(side: str) -> tuple[str, ...]:
+    """One side's parameter names in ``split_gru_weights`` order."""
+    return tuple(f"{side}_{name}" for name in ("wz", "bz", "wr", "br", "wh", "bh"))
 
 
 class Autoencoder:
     """Encoder/decoder pair sharing one embedding table.
 
     Training and inference run the same GRU step, ``numcore.gru_cell``:
-    the tape's ``gru_pass`` op uses it as its forward. A constructed model
-    holds float64 parameters, so inference runs in float64; ``pretrain``
+    the training passes, ``numcore.gru_pass``, step with it. A constructed
+    model holds float64 parameters, so inference runs in float64; ``pretrain``
     narrows its model's parameters to float32 for training. Inference
     takes each token's input projection from a per-side (V, 3H) table, the
     embedding projected once, and the hidden side from the split weights
@@ -198,7 +200,7 @@ class Autoencoder:
         """One side's (V, 3H) input projection of every token, and its
         hidden-side rows."""
         if side not in self._inference:
-            wx, bias, u = split_gru_weights(_gru_weights(self.parameters, side))
+            wx, bias, u = split_gru_weights([self.parameters[k] for k in _gru_names(side)])
             self._inference[side] = (self.parameters["embedding"] @ wx + bias, u)
         return self._inference[side]
 
@@ -220,20 +222,20 @@ class Autoencoder:
             h = np.where(step_keep[:, None], h_new, h) if pad else h_new
         return h
 
-    def decode_greedy_batch(self, latents: Array, max_len: int | None = None) -> list[list[int]]:
+    def decode_greedy_batch(self, latents: Array) -> list[list[int]]:
         """Greedy decode each latent: SOS start, argmax steps, stop at EOS.
 
         Every output is bracketed as [SOS, ...content..., EOS]; EOS is
-        forced when the content budget runs out. A row that has emitted
-        EOS keeps stepping until every row has, and what it emits after
-        its first EOS is dropped: each GEMM row depends only on its own
-        inputs and the batch shape never changes, so the other rows'
-        outputs are the ones a frozen row would leave them.
+        forced when the content budget, ``config.max_len``, runs out. A row
+        that has emitted EOS keeps stepping until every row has, and what
+        it emits after its first EOS is dropped: each GEMM row depends only
+        on its own inputs and the batch shape never changes, so the other
+        rows' outputs are the ones a frozen row would leave them.
         """
         latents = np.asarray(latents)
         if latents.ndim != 2 or latents.shape[1] != self.config.hidden_dim:
             raise ValueError("latents must be (batch, hidden_dim)")
-        limit = self.config.max_len if max_len is None else max_len
+        limit = self.config.max_len
         h = latents
         table, u = self._gru_inference("dec")
         out_w, out_b = self.parameters["out_w"], self.parameters["out_b"]
@@ -257,24 +259,68 @@ class Autoencoder:
 
     # -- training -----------------------------------------------------------
 
-    def build_loss(self, tape: Tape, leaves: dict, batch: Array):
-        """Teacher-forced reconstruction loss for a padded (B, T) batch.
+    def build_loss(self, tape: Tape, params: dict[str, Array], batch: Array) -> tuple[Array, dict[str, Array]]:
+        """Teacher-forced reconstruction loss for a padded (B, T) batch, and
+        the gradient dict that ``tape.backward`` fills.
 
-        The clipped latent is the decoder's initial hidden state; targets
-        are the inputs shifted left one step, PAD positions ignored. Each
-        GRU pass is one tape node over time-major rows.
+        Five steps, each recorded with its backward: the encoder pass over
+        the embedded batch, the clip of its final state, which is the
+        latent, the decoder pass from the latent over the inputs, the
+        output layer, and the cross-entropy against the inputs shifted
+        left one step, PAD ignored. Each pass runs over time-major rows.
+        The embedding's gradient is the decoder's scatter plus the
+        encoder's, the order reverse mode adds them in.
         """
-        steps = np.asarray(batch).T  # (T, B)
-        dtype = leaves["embedding"].value.dtype
-        h0 = tape.leaf(np.zeros((steps.shape[1], self.config.hidden_dim), dtype=dtype), name="h0")
-        x = tape.row_select(leaves["embedding"], steps.reshape(-1))
-        final = tape.gru_pass(x, h0, _gru_weights(leaves, "enc"), mask=steps != PAD_ID)
-        latent = tape.clip_rows_l1(final, self.config.clip_c)
+        for name, value in params.items():
+            require_finite(value, name)
+        steps = np.asarray(batch, dtype=np.int64).T  # (T, B)
+        table = params["embedding"]
+        if steps.min() < 0 or steps.max() >= table.shape[0]:
+            raise ValueError(f"token id out of range for a vocabulary of {table.shape[0]}")
+        enc_ids, dec_ids = steps.reshape(-1), steps[:-1].reshape(-1)
+        grads: dict[str, Array] = {}
 
-        x = tape.row_select(leaves["embedding"], steps[:-1].reshape(-1))
-        states = tape.gru_pass(x, latent, _gru_weights(leaves, "dec"), all_states=True)
-        logits = tape.add(tape.matmul(states, leaves["out_w"]), leaves["out_b"])
-        return tape.softmax_cross_entropy(logits, steps[1:].reshape(-1), ignore_id=PAD_ID)
+        h0 = np.zeros((steps.shape[1], self.config.hidden_dim), dtype=table.dtype)
+        enc_names = _gru_names("enc")
+        final, enc_backward = gru_pass(table[enc_ids], h0, [params[k] for k in enc_names], mask=steps != PAD_ID)
+
+        def encoder(g):
+            dx, _, dweights = enc_backward(g)
+            grads.update(zip(enc_names, dweights))
+            grads["embedding"] = grads["embedding"] + rows_grad(table, enc_ids, dx)
+
+        tape.record("encoder", encoder)
+
+        clip_c = self.config.clip_c
+        latent, norms, scale = clip_rows_l1(final, clip_c)
+        tape.record("clip", lambda g: clip_rows_l1_vjp(g, final, clip_c, norms, scale))
+
+        dec_names = _gru_names("dec")
+        states, dec_backward = gru_pass(table[dec_ids], latent, [params[k] for k in dec_names], all_states=True)
+
+        def decoder(g):
+            dx, dlatent, dweights = dec_backward(g)
+            grads.update(zip(dec_names, dweights))
+            grads["embedding"] = rows_grad(table, dec_ids, dx)
+            return dlatent
+
+        tape.record("decoder", decoder)
+
+        out_w = params["out_w"]
+        logits = states @ out_w
+        logits += params["out_b"]
+        require_finite(logits, "output layer")
+
+        def output(g):
+            grads["out_w"] = states.T @ g
+            grads["out_b"] = g.sum(axis=0)
+            return g @ out_w.T
+
+        tape.record("output", output)
+
+        loss, ce_backward = softmax_cross_entropy(logits, steps[1:].reshape(-1), ignore_id=PAD_ID)
+        tape.record("cross_entropy", ce_backward)
+        return loss, grads
 
     def train_step(self, batch: Array, opt_state: AdamState) -> float:
         """One teacher-forced batch: forward, backward, Adam update."""
@@ -282,16 +328,11 @@ class Autoencoder:
         if batch.ndim != 2 or batch.shape[0] == 0 or batch.shape[1] < 2:
             raise ValueError("batch must be (B, T) with T >= 2")
         tape = Tape()
-        leaves = {k: tape.leaf(v, name=k) for k, v in self.parameters.items()}
-        loss = self.build_loss(tape, leaves, batch)
-        tape.backward(loss)
-        grads = {
-            k: (leaves[k].grad if leaves[k].grad is not None else np.zeros_like(self.parameters[k]))
-            for k in self.parameters
-        }
+        loss, grads = self.build_loss(tape, self.parameters, batch)
+        tape.backward(np.ones((), loss.dtype))
         adam_step(self.parameters, grads, self.config.learning_rate, opt_state)
         self._inference.clear()
-        return float(loss.value)
+        return float(loss)
 
 
 def pad_batch(sequences: list[list[int]]) -> Array:

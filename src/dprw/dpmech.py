@@ -28,7 +28,12 @@ BOUND_TOL = 1e-9
 
 @dataclass(frozen=True)
 class PrivacyParams:
-    """Privacy budget epsilon (finite positive or math.inf) and clip radius."""
+    """Privacy budget epsilon (finite positive or math.inf) and clip radius.
+
+    At a finite epsilon the noise scale b = 2C / epsilon must be a positive
+    finite float: b = 0 (underflow) would add no noise at all, and b = inf
+    (overflow) would turn every latent into noise.
+    """
 
     epsilon: float
     clip_c: float
@@ -38,6 +43,12 @@ class PrivacyParams:
             raise ValueError("epsilon must be positive or infinite")
         if not math.isfinite(self.clip_c) or self.clip_c <= 0:
             raise ValueError("clip_c must be a positive finite float")
+        b = calibrate_scale(self)
+        if not self.non_private and not 0.0 < b < math.inf:
+            raise ValueError(
+                f"epsilon {self.epsilon!r} with clip_c {self.clip_c!r} gives noise scale "
+                f"b = 2 * clip_c / epsilon = {b!r}; b must be positive and finite"
+            )
 
     @property
     def non_private(self) -> bool:

@@ -1,23 +1,24 @@
 """Dense numeric core: deterministic RNG streams, the one sigmoid, GRU
-cell, softmax and row-wise l1 clip that the tape, inference, the
-classifier and the privacy mechanism share, a reverse-mode tape, and an
-Adam optimizer.
+cell, softmax and row-wise l1 clip that training, inference, the
+classifier and the privacy mechanism share, the training passes with
+their backward, and an Adam optimizer.
 
 Values are plain numpy arrays, and every operation computes in its
 inputs' precision: float32 inputs give float32 values, gradients and Adam
-moments, and anything else runs in float64. Pre-training uses float32.
-The finite-difference gradient check, inference, the privacy mechanism
-and the checkpoint blobs (``<f8``) are float64. Every tape operation
-validates shapes and rejects non-finite results, so a diverging training
-run fails at the op that produced the bad value instead of corrupting
-downstream state. A tape is single-threaded; concurrent training requires
-one model instance (and one Rng stream) per worker.
+moments, and float64 inputs float64 ones. Pre-training uses float32;
+inference, the privacy mechanism and the checkpoint blobs (``<f8``) are
+float64. A training pass (``gru_pass``, ``softmax_cross_entropy``)
+returns its value and a ``backward`` function; the autoencoder records
+the five backward steps of its loss on a ``Tape`` and runs them in
+reverse. The passes validate shapes and reject non-finite results, so a
+diverging training run fails at the pass that produced the bad value
+instead of corrupting downstream state.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Sequence
 
@@ -33,12 +34,6 @@ class NonFiniteError(FloatingPointError):
 def as_f64(x) -> Array:
     """Coerce to a float64 ndarray without copying when already one."""
     return np.asarray(x, dtype=np.float64)
-
-
-def as_float(x) -> Array:
-    """A float32 or float64 ndarray as it is; anything else as float64."""
-    x = np.asarray(x)
-    return x if x.dtype in (np.float32, np.float64) else x.astype(np.float64)
 
 
 def require_finite(x: Array, name: str) -> None:
@@ -228,245 +223,150 @@ def clip_rows_l1(x: Array, c: float) -> tuple[Array, Array, Array]:
 
 
 # ---------------------------------------------------------------------------
-# Reverse-mode tape
+# Training passes and their backward
 
 
-@dataclass
-class Node:
-    """One value on the tape plus everything backward() needs.
+def rows_grad(table: Array, ids: Array, g: Array) -> Array:
+    """Gradient of the lookup ``table[ids]`` for output gradient ``g``: a
+    zero table with each row of ``g`` added at its id, duplicate ids
+    summed in order (``np.add.at``)."""
+    out = np.zeros_like(table)
+    np.add.at(out, ids, g)
+    return out
 
-    ``vjps[i]`` maps the gradient at this node to the contribution for
-    ``parents[i]``; gradients accumulate additively across consumers.
+
+def clip_rows_l1_vjp(g: Array, x: Array, c: float, norms: Array, scale: Array) -> Array:
+    """Backward of ``clip_rows_l1(x, c)``, given the norms and scale it
+    returned: ``g`` times the scale, and on clipped rows a rank-one
+    correction along sign(x), since there the scale depends on x."""
+    grad = g * scale[:, None]
+    over = norms > c
+    if over.any():
+        dot = (g[over] * x[over]).sum(axis=1)
+        grad[over] -= (scale[over] * dot / norms[over])[:, None] * np.sign(x[over])
+    return grad
+
+
+def gru_pass(
+    x: Array, h0: Array, weights: Sequence[Array], mask=None, all_states: bool = False
+) -> tuple[Array, Callable]:
+    """A GRU run over T steps, and its backward.
+
+    ``x`` holds every step's input, time-major (T * B, E); ``h0`` is the
+    (B, H) initial state and ``weights`` the (wz, bz, wr, br, wh, bh)
+    arrays. One GEMM projects all T * B inputs, then ``gru_cell`` runs
+    the hidden side step by step. Where the constant (T, B) ``mask`` is
+    False a row keeps its state (padding). The value is the final state,
+    or with ``all_states`` every step's state, time-major (T * B, H);
+    every state is checked for non-finite values either way.
+
+    ``backward(g)``, for the value's gradient ``g``, goes back through the
+    steps with ``gru_cell_vjp``, then takes one GEMM each for the
+    input-side and both hidden-side weight gradients and for dx, over all
+    T * B rows. It returns (dx, dh0, [dwz, dbz, dwr, dbr, dwh, dbh]).
     """
+    if x.ndim != 2 or h0.ndim != 2 or x.shape[0] % h0.shape[0]:
+        raise ValueError(f"gru_pass expects (T*B, E) and (B, H) inputs, got {x.shape}, {h0.shape}")
+    (b, hd), e = h0.shape, x.shape[1]
+    steps = x.shape[0] // b
+    if [w.shape for w in weights] != [(e + hd, hd), (hd,)] * 3:
+        raise ValueError("gru_pass weight shapes do not match the inputs")
+    if mask is not None:
+        mask = np.asarray(mask, dtype=bool)
+        if mask.shape != (steps, b):
+            raise ValueError(f"gru_pass mask must be (T, B) = {(steps, b)}, got {mask.shape}")
+    wx, bias, u = split_gru_weights(weights)
+    xp = x @ wx
+    xp += bias
+    xp = xp.reshape(steps, b, 3 * hd)
+    hs = np.empty((steps + 1, b, hd), dtype=xp.dtype)  # hs[t] enters step t
+    hs[0] = h0
+    caches = []
+    for t in range(steps):
+        h_new, cache = gru_cell(xp[t], hs[t], u)
+        hs[t + 1] = h_new if mask is None else np.where(mask[t][:, None], h_new, hs[t])
+        caches.append(cache)
+    require_finite(hs[1:], "gru_pass")
 
-    value: Array
-    parents: tuple = ()
-    vjps: tuple = ()
-    name: str = ""
-    grad: Array | None = field(default=None, repr=False)
+    def backward(g):
+        u_zr, u_h = u
+        g_steps = g.reshape(steps, b, hd) if all_states else None
+        da = np.empty((steps, b, 3 * hd), dtype=hs.dtype)
+        dh = np.zeros((b, hd), dtype=hs.dtype) if all_states else g
+        for t in reversed(range(steps)):
+            if all_states:
+                dh = dh + g_steps[t]
+            if mask is None:
+                dh = gru_cell_vjp(dh, hs[t], u_zr, u_h, caches[t], da[t])
+            else:
+                keep = mask[t][:, None]
+                dh = gru_cell_vjp(dh * keep, hs[t], u_zr, u_h, caches[t], da[t]) + dh * ~keep
+        da = da.reshape(steps * b, 3 * hd)
+        dwx = x.T @ da
+        db = da.sum(axis=0)
+        du_zr = hs[:-1].reshape(steps * b, hd).T @ da[:, : 2 * hd]
+        du_h = np.concatenate([c[1] for c in caches]).T @ da[:, 2 * hd :]
+        dweights = []
+        for k, du in enumerate((du_zr[:, :hd], du_zr[:, hd:], du_h)):
+            cols = slice(k * hd, (k + 1) * hd)
+            dweights.extend([np.concatenate([dwx[:, cols], du]), db[cols]])
+        return da @ wx.T, dh, dweights
 
-    @property
-    def shape(self):
-        return self.value.shape
+    return (hs[1:].reshape(steps * b, hd) if all_states else hs[-1]), backward
+
+
+def softmax_cross_entropy(z: Array, targets, ignore_id: int) -> tuple[Array, Callable]:
+    """Mean cross-entropy of (M, V) logits over the rows whose target
+    differs from ``ignore_id``, and its backward, ``g`` -> d loss / d z
+    times ``g``. Raises if every row is ignored or a target is out of
+    range."""
+    targets = np.asarray(targets, dtype=np.int64)
+    if z.ndim != 2 or targets.shape != (z.shape[0],):
+        raise ValueError("softmax_cross_entropy expects (M,V) logits and (M,) targets")
+    valid = targets != ignore_id
+    count = int(valid.sum())
+    if count == 0:
+        raise ValueError("softmax_cross_entropy: every target is ignored")
+    checked = targets[valid]
+    if checked.min() < 0 or checked.max() >= z.shape[1]:
+        raise ValueError("softmax_cross_entropy target id out of range")
+
+    probs, log_z = softmax(z)
+    rows, cols = np.arange(z.shape[0]), np.where(valid, targets, 0)
+    loss = (log_z - z[rows, cols])[valid].sum() / count
+    require_finite(loss, "softmax_cross_entropy")
+
+    def backward(g):
+        grad = probs.copy()
+        grad[rows, cols] -= 1.0
+        grad[~valid] = 0.0
+        return grad * (float(g) / count)
+
+    return loss, backward
 
 
 class Tape:
-    """Records a computation graph; op nodes are appended after their
-    inputs, so reversing creation order is a reverse topological order."""
+    """The backward steps of one training loss, in forward order.
+
+    A step maps the gradient of its output to the gradient of its input,
+    which is the output of the step recorded before it, and writes any
+    parameter gradients it owns as it goes. A tape is single-threaded and
+    runs backward once.
+    """
 
     def __init__(self):
-        self.nodes: list[Node] = []
+        self.nodes: list[tuple[str, Callable[[Array], Array]]] = []
         self._backward_done = False
 
-    # -- construction ------------------------------------------------------
+    def record(self, name: str, step: Callable[[Array], Array]) -> None:
+        self.nodes.append((name, step))
 
-    def _push(self, value: Array, parents: tuple = (), vjps: tuple = (), name: str = "") -> Node:
-        value = as_float(value)
-        require_finite(value, name)
-        node = Node(value=value, parents=parents, vjps=vjps, name=name)
-        self.nodes.append(node)
-        return node
-
-    def leaf(self, value, name: str = "") -> Node:
-        """Register an input or parameter value. Leaves are checked but not
-        recorded: backward() reaches them through the ops that use them."""
-        name = name or "leaf"
-        value = as_float(value)
-        require_finite(value, name)
-        return Node(value=value, name=name)
-
-    # -- primitives --------------------------------------------------------
-
-    def matmul(self, a: Node, b: Node) -> Node:
-        if a.value.ndim != 2 or b.value.ndim != 2 or a.shape[1] != b.shape[0]:
-            raise ValueError(f"matmul shape mismatch: {a.shape} @ {b.shape}")
-        return self._push(
-            a.value @ b.value,
-            parents=(a, b),
-            vjps=(lambda g: g @ b.value.T, lambda g: a.value.T @ g),
-            name="matmul",
-        )
-
-    def add(self, a: Node, b: Node) -> Node:
-        """Elementwise add; also accepts a 1-D bias broadcast over the rows
-        of a 2-D left operand."""
-        if a.shape == b.shape:
-            return self._push(
-                a.value + b.value, parents=(a, b), vjps=(lambda g: g, lambda g: g), name="add"
-            )
-        if a.value.ndim == 2 and b.value.ndim == 1 and a.shape[1] == b.shape[0]:
-            return self._push(
-                a.value + b.value,
-                parents=(a, b),
-                vjps=(lambda g: g, lambda g: g.sum(axis=0)),
-                name="add",
-            )
-        raise ValueError(f"add shape mismatch: {a.shape} + {b.shape}")
-
-    def row_select(self, table: Node, ids) -> Node:
-        """Embedding lookup: rows of ``table`` at integer ``ids``."""
-        ids = np.asarray(ids, dtype=np.int64)
-        if table.value.ndim != 2 or ids.ndim != 1:
-            raise ValueError("row_select expects a 2-D table and 1-D ids")
-        if ids.size and (ids.min() < 0 or ids.max() >= table.shape[0]):
-            raise ValueError("row_select id out of range")
-
-        def vjp(g):
-            out = np.zeros_like(table.value)
-            np.add.at(out, ids, g)
-            return out
-
-        return self._push(table.value[ids], parents=(table,), vjps=(vjp,), name="row_select")
-
-    def clip_rows_l1(self, a: Node, c: float) -> Node:
-        """Row-wise l1 clip (``clip_rows_l1`` above) as a tape op."""
-        x = a.value
-        out, norms, scale = clip_rows_l1(x, c)
-        over = norms > c
-
-        def vjp(g):
-            grad = g * scale[:, None]
-            if over.any():
-                # clipped rows: d(s*x)/dx has a rank-one correction along sign(x)
-                dot = (g[over] * x[over]).sum(axis=1)
-                grad[over] -= (scale[over] * dot / norms[over])[:, None] * np.sign(x[over])
-            return grad
-
-        return self._push(out, parents=(a,), vjps=(vjp,), name="clip_rows_l1")
-
-    def gru_pass(
-        self, x: Node, h0: Node, weights: Sequence[Node], mask=None, all_states: bool = False
-    ) -> Node:
-        """A GRU run over T steps as one node.
-
-        ``x`` holds every step's input, time-major (T * B, E); ``h0`` is the
-        (B, H) initial state and ``weights`` the (wz, bz, wr, br, wh, bh)
-        nodes. One GEMM projects all T * B inputs, then ``gru_cell`` runs
-        the hidden side step by step. Where the constant (T, B) ``mask`` is
-        False a row keeps its state (padding). The value is the final state,
-        or with ``all_states`` every step's state, time-major (T * B, H);
-        every state is checked for non-finite values either way.
-
-        The VJP runs once, and only if backward() reaches the node: back
-        through the steps with ``gru_cell_vjp``, then one GEMM each for the
-        input-side and both hidden-side weight gradients and for dx, over
-        all T * B rows.
-        """
-        if x.value.ndim != 2 or h0.value.ndim != 2 or x.shape[0] % h0.shape[0]:
-            raise ValueError(f"gru_pass expects (T*B, E) and (B, H) inputs, got {x.shape}, {h0.shape}")
-        (b, hd), e = h0.shape, x.shape[1]
-        steps = x.shape[0] // b
-        if [w.shape for w in weights] != [(e + hd, hd), (hd,)] * 3:
-            raise ValueError("gru_pass weight shapes do not match the inputs")
-        if mask is not None:
-            mask = np.asarray(mask, dtype=bool)
-            if mask.shape != (steps, b):
-                raise ValueError(f"gru_pass mask must be (T, B) = {(steps, b)}, got {mask.shape}")
-        wx, bias, u = split_gru_weights([w.value for w in weights])
-        xp = x.value @ wx
-        xp += bias
-        xp = xp.reshape(steps, b, 3 * hd)
-        hs = np.empty((steps + 1, b, hd), dtype=xp.dtype)  # hs[t] enters step t
-        hs[0] = h0.value
-        caches = []
-        for t in range(steps):
-            h_new, cache = gru_cell(xp[t], hs[t], u)
-            hs[t + 1] = h_new if mask is None else np.where(mask[t][:, None], h_new, hs[t])
-            caches.append(cache)
-        require_finite(hs[1:], "gru_pass")
-        grads: list = []
-
-        def backward(g):
-            u_zr, u_h = u
-            g_steps = g.reshape(steps, b, hd) if all_states else None
-            da = np.empty((steps, b, 3 * hd), dtype=hs.dtype)
-            dh = np.zeros((b, hd), dtype=hs.dtype) if all_states else g
-            for t in reversed(range(steps)):
-                if all_states:
-                    dh = dh + g_steps[t]
-                if mask is None:
-                    dh = gru_cell_vjp(dh, hs[t], u_zr, u_h, caches[t], da[t])
-                else:
-                    keep = mask[t][:, None]
-                    dh = gru_cell_vjp(dh * keep, hs[t], u_zr, u_h, caches[t], da[t]) + dh * ~keep
-            da = da.reshape(steps * b, 3 * hd)
-            dwx = x.value.T @ da
-            db = da.sum(axis=0)
-            du_zr = hs[:-1].reshape(steps * b, hd).T @ da[:, : 2 * hd]
-            du_h = np.concatenate([c[1] for c in caches]).T @ da[:, 2 * hd :]
-            grads.extend([da @ wx.T, dh])
-            for k, du in enumerate((du_zr[:, :hd], du_zr[:, hd:], du_h)):
-                cols = slice(k * hd, (k + 1) * hd)
-                grads.extend([np.concatenate([dwx[:, cols], du]), db[cols]])
-
-        def part(i):
-            def vjp(g):
-                if not grads:
-                    backward(g)
-                return grads[i]
-
-            return vjp
-
-        parents = (x, h0, *weights)
-        return self._push(
-            hs[1:].reshape(steps * b, hd) if all_states else hs[-1],
-            parents=parents,
-            vjps=tuple(part(i) for i in range(len(parents))),
-            name="gru_pass",
-        )
-
-    def softmax_cross_entropy(self, logits: Node, targets, ignore_id: int) -> Node:
-        """Mean cross-entropy over rows whose target differs from ignore_id.
-
-        Returns a scalar node; raises if every row is ignored.
-        """
-        targets = np.asarray(targets, dtype=np.int64)
-        z = logits.value
-        if z.ndim != 2 or targets.shape != (z.shape[0],):
-            raise ValueError("softmax_cross_entropy expects (M,V) logits and (M,) targets")
-        valid = targets != ignore_id
-        count = int(valid.sum())
-        if count == 0:
-            raise ValueError("softmax_cross_entropy: every target is ignored")
-        checked = targets[valid]
-        if checked.min() < 0 or checked.max() >= z.shape[1]:
-            raise ValueError("softmax_cross_entropy target id out of range")
-
-        probs, log_z = softmax(z)
-        picked = z[np.arange(z.shape[0]), np.where(valid, targets, 0)]
-        losses = log_z - picked
-        loss = losses[valid].sum() / count
-
-        def vjp(g):
-            grad = probs.copy()
-            grad[np.arange(z.shape[0]), np.where(valid, targets, 0)] -= 1.0
-            grad[~valid] = 0.0
-            return grad * (float(g) / count)
-
-        return self._push(loss, parents=(logits,), vjps=(vjp,), name="softmax_cross_entropy")
-
-    # -- reverse pass ------------------------------------------------------
-
-    def backward(self, loss: Node) -> None:
-        """Accumulate d(loss)/d(node) into .grad for every reachable node.
-
-        Visits nodes in reverse creation order (a reverse topological
-        order) exactly once. A tape supports a single backward pass.
-        """
+    def backward(self, g: Array) -> None:
+        """Run the steps newest first, from ``g``, the loss's gradient."""
         if self._backward_done:
             raise RuntimeError("backward already ran on this tape; build a fresh tape")
-        if loss.value.shape != ():
-            raise ValueError("backward requires a scalar loss node")
-        loss.grad = np.ones((), dtype=loss.value.dtype)
-        for node in reversed(self.nodes):
-            if node.grad is None:
-                continue
-            for parent, vjp in zip(node.parents, node.vjps):
-                contribution = vjp(node.grad)
-                if parent.grad is None:
-                    parent.grad = np.array(contribution)
-                else:
-                    parent.grad = parent.grad + contribution
+        for _, step in reversed(self.nodes):
+            g = step(g)
         self._backward_done = True
 
 
@@ -515,62 +415,3 @@ def adam_step(
         vhat = state.v[k] / bc2
         p -= lr * mhat / (np.sqrt(vhat) + eps)
 
-
-# ---------------------------------------------------------------------------
-# Gradient checking
-
-
-@dataclass
-class GradCheckReport:
-    max_rel_error: float
-    worst_param: str
-    ok: bool
-
-
-def finite_difference_check(
-    build: Callable[[Tape, dict[str, Node]], Node],
-    params: dict[str, Array],
-    rtol: float = 1e-4,
-    step: float = 1e-5,
-) -> GradCheckReport:
-    """Compare tape gradients against central finite differences.
-
-    ``build`` constructs a scalar loss node from leaf nodes for ``params``
-    on the given tape; it must be deterministic. The relative error for an
-    entry is |g - fd| / max(|g|, |fd|), treated as 0 when both are tiny.
-    """
-
-    def evaluate(values: dict[str, Array]) -> float:
-        tape = Tape()
-        leaves = {k: tape.leaf(v, name=k) for k, v in values.items()}
-        return float(build(tape, leaves).value)
-
-    tape = Tape()
-    leaves = {k: tape.leaf(v, name=k) for k, v in params.items()}
-    loss = build(tape, leaves)
-    tape.backward(loss)
-    grads = {
-        k: (leaves[k].grad if leaves[k].grad is not None else np.zeros_like(params[k]))
-        for k in params
-    }
-
-    worst = 0.0
-    worst_param = ""
-    probe = {k: v.copy() for k, v in params.items()}
-    for k, p in probe.items():
-        flat = p.reshape(-1)
-        gflat = np.asarray(grads[k]).reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + step
-            hi = evaluate(probe)
-            flat[i] = orig - step
-            lo = evaluate(probe)
-            flat[i] = orig
-            fd = (hi - lo) / (2.0 * step)
-            denom = max(abs(gflat[i]), abs(fd))
-            rel = 0.0 if denom < 1e-6 else abs(gflat[i] - fd) / denom
-            if rel > worst:
-                worst = rel
-                worst_param = k
-    return GradCheckReport(max_rel_error=worst, worst_param=worst_param, ok=worst < rtol)

@@ -123,14 +123,20 @@ class ExperimentConfig:
                 raise ValueError("rewrite mode requires a checkpoint")
             if self.epsilon is None:
                 raise ValueError("rewrite mode requires privacy parameters (epsilon)")
-            # run_rewrite resolves an unset radius, so only a given one is checked here
-            PrivacyParams(self.epsilon, 1.0 if self.clip_c is None else self.clip_c)
+            if self.clip_c is not None:
+                PrivacyParams(self.epsilon, self.clip_c)
+            elif math.isnan(self.epsilon) or self.epsilon <= 0:
+                # an unset radius is the checkpoint's: run_rewrite checks the pair
+                raise ValueError("epsilon must be positive or infinite")
             if not self.train_path:
                 raise ValueError("rewrite mode requires a training split")
         if self.mode == "downstream" and not (self.train_path and self.test_path):
             raise ValueError("downstream mode requires train and test splits")
-        if self.mode == "case_study" and not (self.dataset_a and self.dataset_b):
-            raise ValueError("case_study mode requires two dataset directories")
+        if self.mode == "case_study":
+            if not (self.dataset_a and self.dataset_b):
+                raise ValueError("case_study mode requires two dataset directories")
+            for eps in EPSILON_LADDER:  # the case study rewrites at every one
+                PrivacyParams(eps, self.autoencoder.clip_c)
 
     def to_dict(self) -> dict:
         """Every field, with ``epsilon`` as ``epsilon_repr``."""

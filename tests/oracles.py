@@ -10,11 +10,21 @@ rewrite is scored against every pre-training document with a
 list-removal unigram F1. It shares only ``tokenize`` and the report type
 with the package.
 
+The graph tape is the general reverse-mode tape the autoencoder trained
+with before its loss was written out as five backward steps: a node per
+op value, a VJP per parent, gradients accumulated across consumers in
+reverse creation order, and ops for matmul, add, row lookup, the l1
+clip, a whole GRU pass and the cross-entropy. It calls the package's
+``split_gru_weights``, ``gru_cell``, ``gru_cell_vjp``, ``clip_rows_l1``
+and ``softmax``; the rest of its arithmetic, the reverse pass included,
+is its own, and the package's ``build_loss`` must match it bit for bit. The finite-difference check compares any gradient
+dict with central differences of a loss function.
+
 The GRU oracle is the autoencoder's original per-step path: a cell over
-the concatenated [x, h] with its single-step backward, one tape node per
-step, ``where_rows`` freezing PAD rows and the decoder's step logits
-concatenated. It shares the tape's leaf, matmul, add, row_select, clip
-and cross-entropy ops and ``sigmoid`` with the package.
+the concatenated [x, h] with its single-step backward, one graph-tape
+node per step, ``where_rows`` freezing PAD rows and the decoder's step
+logits concatenated. It shares the graph tape's leaf, matmul, add,
+row_select, clip and cross-entropy ops and ``sigmoid`` with the package.
 
 The inference-loop oracles freeze rows at every step: the encoder
 applies ``np.where`` at every step, and the decoder freezes a finished
@@ -22,8 +32,8 @@ row's state and token and fills PAD after its EOS. They share
 ``gru_cell`` and the inference tables with the package, so the package's
 loops, which skip that work, must match them exactly.
 
-The classifier oracle is the tape the classifier trained with before its
-gradient was written by hand.
+The classifier oracle is the graph tape the classifier trained with
+before its gradient was written by hand.
 
 The macro-F1 oracle is the per-label scan in ``Fraction`` arithmetic the
 package used before it counted labels once and summed in integers; the
@@ -41,7 +51,9 @@ report, bit for bit.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Sequence
 
 import numpy as np
 
@@ -55,7 +67,18 @@ from dprw.dpmech import (
     verify_dp_bound,
 )
 from dprw.metrics import LeakReport
-from dprw.numcore import Rng, Tape, clip_rows_l1, gru_cell, sigmoid
+from dprw.numcore import (
+    Array,
+    Rng,
+    Tape,
+    clip_rows_l1,
+    gru_cell,
+    gru_cell_vjp,
+    require_finite,
+    sigmoid,
+    softmax,
+    split_gru_weights,
+)
 
 
 def _ngram_list(tokens: list[str], n: int) -> list[tuple[str, ...]]:
@@ -254,6 +277,340 @@ def mean_pool_matrix_add_at(docs: list[Document], vocab: Vocabulary) -> np.ndarr
     return pooled
 
 
+# -- the graph tape ----------------------------------------------------------------
+
+
+def as_float(x) -> np.ndarray:
+    """A float32 or float64 ndarray as it is; anything else as float64."""
+    x = np.asarray(x)
+    return x if x.dtype in (np.float32, np.float64) else x.astype(np.float64)
+
+
+@dataclass
+class Node:
+    """One value on the tape plus everything backward() needs.
+
+    ``vjps[i]`` maps the gradient at this node to the contribution for
+    ``parents[i]``; gradients accumulate additively across consumers.
+    """
+
+    value: Array
+    parents: tuple = ()
+    vjps: tuple = ()
+    name: str = ""
+    grad: Array | None = field(default=None, repr=False)
+
+    @property
+    def shape(self):
+        return self.value.shape
+
+
+class GraphTape:
+    """Records a computation graph; op nodes are appended after their
+    inputs, so reversing creation order is a reverse topological order.
+    The ``clip_rows_l1`` op calls the package function of that name."""
+
+    def __init__(self):
+        self.nodes: list[Node] = []
+        self._backward_done = False
+
+    # -- construction ------------------------------------------------------
+
+    def _push(self, value: Array, parents: tuple = (), vjps: tuple = (), name: str = "") -> Node:
+        value = as_float(value)
+        require_finite(value, name)
+        node = Node(value=value, parents=parents, vjps=vjps, name=name)
+        self.nodes.append(node)
+        return node
+
+    def leaf(self, value, name: str = "") -> Node:
+        """Register an input or parameter value. Leaves are checked but not
+        recorded: backward() reaches them through the ops that use them."""
+        name = name or "leaf"
+        value = as_float(value)
+        require_finite(value, name)
+        return Node(value=value, name=name)
+
+    # -- primitives --------------------------------------------------------
+
+    def matmul(self, a: Node, b: Node) -> Node:
+        if a.value.ndim != 2 or b.value.ndim != 2 or a.shape[1] != b.shape[0]:
+            raise ValueError(f"matmul shape mismatch: {a.shape} @ {b.shape}")
+        return self._push(
+            a.value @ b.value,
+            parents=(a, b),
+            vjps=(lambda g: g @ b.value.T, lambda g: a.value.T @ g),
+            name="matmul",
+        )
+
+    def add(self, a: Node, b: Node) -> Node:
+        """Elementwise add; also accepts a 1-D bias broadcast over the rows
+        of a 2-D left operand."""
+        if a.shape == b.shape:
+            return self._push(
+                a.value + b.value, parents=(a, b), vjps=(lambda g: g, lambda g: g), name="add"
+            )
+        if a.value.ndim == 2 and b.value.ndim == 1 and a.shape[1] == b.shape[0]:
+            return self._push(
+                a.value + b.value,
+                parents=(a, b),
+                vjps=(lambda g: g, lambda g: g.sum(axis=0)),
+                name="add",
+            )
+        raise ValueError(f"add shape mismatch: {a.shape} + {b.shape}")
+
+    def row_select(self, table: Node, ids) -> Node:
+        """Embedding lookup: rows of ``table`` at integer ``ids``."""
+        ids = np.asarray(ids, dtype=np.int64)
+        if table.value.ndim != 2 or ids.ndim != 1:
+            raise ValueError("row_select expects a 2-D table and 1-D ids")
+        if ids.size and (ids.min() < 0 or ids.max() >= table.shape[0]):
+            raise ValueError("row_select id out of range")
+
+        def vjp(g):
+            out = np.zeros_like(table.value)
+            np.add.at(out, ids, g)
+            return out
+
+        return self._push(table.value[ids], parents=(table,), vjps=(vjp,), name="row_select")
+
+    def clip_rows_l1(self, a: Node, c: float) -> Node:
+        """Row-wise l1 clip (``clip_rows_l1`` above) as a tape op."""
+        x = a.value
+        out, norms, scale = clip_rows_l1(x, c)
+        over = norms > c
+
+        def vjp(g):
+            grad = g * scale[:, None]
+            if over.any():
+                # clipped rows: d(s*x)/dx has a rank-one correction along sign(x)
+                dot = (g[over] * x[over]).sum(axis=1)
+                grad[over] -= (scale[over] * dot / norms[over])[:, None] * np.sign(x[over])
+            return grad
+
+        return self._push(out, parents=(a,), vjps=(vjp,), name="clip_rows_l1")
+
+    def gru_pass(
+        self, x: Node, h0: Node, weights: Sequence[Node], mask=None, all_states: bool = False
+    ) -> Node:
+        """A GRU run over T steps as one node.
+
+        ``x`` holds every step's input, time-major (T * B, E); ``h0`` is the
+        (B, H) initial state and ``weights`` the (wz, bz, wr, br, wh, bh)
+        nodes. One GEMM projects all T * B inputs, then ``gru_cell`` runs
+        the hidden side step by step. Where the constant (T, B) ``mask`` is
+        False a row keeps its state (padding). The value is the final state,
+        or with ``all_states`` every step's state, time-major (T * B, H);
+        every state is checked for non-finite values either way.
+
+        The VJP runs once, and only if backward() reaches the node: back
+        through the steps with ``gru_cell_vjp``, then one GEMM each for the
+        input-side and both hidden-side weight gradients and for dx, over
+        all T * B rows.
+        """
+        if x.value.ndim != 2 or h0.value.ndim != 2 or x.shape[0] % h0.shape[0]:
+            raise ValueError(f"gru_pass expects (T*B, E) and (B, H) inputs, got {x.shape}, {h0.shape}")
+        (b, hd), e = h0.shape, x.shape[1]
+        steps = x.shape[0] // b
+        if [w.shape for w in weights] != [(e + hd, hd), (hd,)] * 3:
+            raise ValueError("gru_pass weight shapes do not match the inputs")
+        if mask is not None:
+            mask = np.asarray(mask, dtype=bool)
+            if mask.shape != (steps, b):
+                raise ValueError(f"gru_pass mask must be (T, B) = {(steps, b)}, got {mask.shape}")
+        wx, bias, u = split_gru_weights([w.value for w in weights])
+        xp = x.value @ wx
+        xp += bias
+        xp = xp.reshape(steps, b, 3 * hd)
+        hs = np.empty((steps + 1, b, hd), dtype=xp.dtype)  # hs[t] enters step t
+        hs[0] = h0.value
+        caches = []
+        for t in range(steps):
+            h_new, cache = gru_cell(xp[t], hs[t], u)
+            hs[t + 1] = h_new if mask is None else np.where(mask[t][:, None], h_new, hs[t])
+            caches.append(cache)
+        require_finite(hs[1:], "gru_pass")
+        grads: list = []
+
+        def backward(g):
+            u_zr, u_h = u
+            g_steps = g.reshape(steps, b, hd) if all_states else None
+            da = np.empty((steps, b, 3 * hd), dtype=hs.dtype)
+            dh = np.zeros((b, hd), dtype=hs.dtype) if all_states else g
+            for t in reversed(range(steps)):
+                if all_states:
+                    dh = dh + g_steps[t]
+                if mask is None:
+                    dh = gru_cell_vjp(dh, hs[t], u_zr, u_h, caches[t], da[t])
+                else:
+                    keep = mask[t][:, None]
+                    dh = gru_cell_vjp(dh * keep, hs[t], u_zr, u_h, caches[t], da[t]) + dh * ~keep
+            da = da.reshape(steps * b, 3 * hd)
+            dwx = x.value.T @ da
+            db = da.sum(axis=0)
+            du_zr = hs[:-1].reshape(steps * b, hd).T @ da[:, : 2 * hd]
+            du_h = np.concatenate([c[1] for c in caches]).T @ da[:, 2 * hd :]
+            grads.extend([da @ wx.T, dh])
+            for k, du in enumerate((du_zr[:, :hd], du_zr[:, hd:], du_h)):
+                cols = slice(k * hd, (k + 1) * hd)
+                grads.extend([np.concatenate([dwx[:, cols], du]), db[cols]])
+
+        def part(i):
+            def vjp(g):
+                if not grads:
+                    backward(g)
+                return grads[i]
+
+            return vjp
+
+        parents = (x, h0, *weights)
+        return self._push(
+            hs[1:].reshape(steps * b, hd) if all_states else hs[-1],
+            parents=parents,
+            vjps=tuple(part(i) for i in range(len(parents))),
+            name="gru_pass",
+        )
+
+    def softmax_cross_entropy(self, logits: Node, targets, ignore_id: int) -> Node:
+        """Mean cross-entropy over rows whose target differs from ignore_id.
+
+        Returns a scalar node; raises if every row is ignored.
+        """
+        targets = np.asarray(targets, dtype=np.int64)
+        z = logits.value
+        if z.ndim != 2 or targets.shape != (z.shape[0],):
+            raise ValueError("softmax_cross_entropy expects (M,V) logits and (M,) targets")
+        valid = targets != ignore_id
+        count = int(valid.sum())
+        if count == 0:
+            raise ValueError("softmax_cross_entropy: every target is ignored")
+        checked = targets[valid]
+        if checked.min() < 0 or checked.max() >= z.shape[1]:
+            raise ValueError("softmax_cross_entropy target id out of range")
+
+        probs, log_z = softmax(z)
+        picked = z[np.arange(z.shape[0]), np.where(valid, targets, 0)]
+        losses = log_z - picked
+        loss = losses[valid].sum() / count
+
+        def vjp(g):
+            grad = probs.copy()
+            grad[np.arange(z.shape[0]), np.where(valid, targets, 0)] -= 1.0
+            grad[~valid] = 0.0
+            return grad * (float(g) / count)
+
+        return self._push(loss, parents=(logits,), vjps=(vjp,), name="softmax_cross_entropy")
+
+    # -- reverse pass ------------------------------------------------------
+
+    def backward(self, loss: Node) -> None:
+        """Accumulate d(loss)/d(node) into .grad for every reachable node.
+
+        Visits nodes in reverse creation order (a reverse topological
+        order) exactly once. A tape supports a single backward pass.
+        """
+        if self._backward_done:
+            raise RuntimeError("backward already ran on this tape; build a fresh tape")
+        if loss.value.shape != ():
+            raise ValueError("backward requires a scalar loss node")
+        loss.grad = np.ones((), dtype=loss.value.dtype)
+        for node in reversed(self.nodes):
+            if node.grad is None:
+                continue
+            for parent, vjp in zip(node.parents, node.vjps):
+                contribution = vjp(node.grad)
+                if parent.grad is None:
+                    parent.grad = np.array(contribution)
+                else:
+                    parent.grad = parent.grad + contribution
+        self._backward_done = True
+
+
+def build_loss_graph(model, tape: GraphTape, leaves: dict, batch) -> Node:
+    """``Autoencoder.build_loss`` as the graph tape built it, eight op nodes."""
+    steps = np.asarray(batch).T  # (T, B)
+    dtype = leaves["embedding"].value.dtype
+    h0 = tape.leaf(np.zeros((steps.shape[1], model.config.hidden_dim), dtype=dtype), name="h0")
+    x = tape.row_select(leaves["embedding"], steps.reshape(-1))
+    final = tape.gru_pass(x, h0, _side(leaves, "enc"), mask=steps != PAD_ID)
+    latent = tape.clip_rows_l1(final, model.config.clip_c)
+    x = tape.row_select(leaves["embedding"], steps[:-1].reshape(-1))
+    states = tape.gru_pass(x, latent, _side(leaves, "dec"), all_states=True)
+    logits = tape.add(tape.matmul(states, leaves["out_w"]), leaves["out_b"])
+    return tape.softmax_cross_entropy(logits, steps[1:].reshape(-1), ignore_id=PAD_ID)
+
+
+def graph_loss_and_grads(build, params: dict) -> tuple[Array, dict]:
+    """The loss value ``build(tape, leaves)`` makes on a fresh graph tape
+    from leaves for ``params``, and every leaf's gradient (zero where
+    backward does not reach it)."""
+    tape = GraphTape()
+    leaves = {k: tape.leaf(v, name=k) for k, v in params.items()}
+    loss = build(tape, leaves)
+    tape.backward(loss)
+    return loss.value, {
+        k: leaf.grad if leaf.grad is not None else np.zeros_like(leaf.value) for k, leaf in leaves.items()
+    }
+
+
+def build_loss_and_grads(model, params: dict, batch) -> tuple:
+    """``model.build_loss`` on a fresh tape, backward from 1: the loss
+    and the gradient dict the tape filled."""
+    tape = Tape()
+    loss, grads = model.build_loss(tape, params, batch)
+    tape.backward(np.ones((), loss.dtype))
+    return loss, grads
+
+
+# -- the finite-difference gradient check ------------------------------------------
+
+
+@dataclass
+class GradCheckReport:
+    max_rel_error: float
+    worst_param: str
+    ok: bool
+
+
+def finite_difference_check(loss, grads: dict, params: dict, rtol: float = 1e-4, step: float = 1e-5) -> GradCheckReport:
+    """Compare ``grads``, the gradients of ``loss`` at ``params``, against
+    central finite differences.
+
+    ``loss`` maps a parameter dict to a float and must be deterministic.
+    The relative error for an entry is |g - fd| / max(|g|, |fd|), treated
+    as 0 when both are tiny.
+    """
+    worst = 0.0
+    worst_param = ""
+    probe = {k: v.copy() for k, v in params.items()}
+    for k, p in probe.items():
+        flat = p.reshape(-1)
+        gflat = np.asarray(grads[k]).reshape(-1)
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + step
+            hi = loss(probe)
+            flat[i] = orig - step
+            lo = loss(probe)
+            flat[i] = orig
+            fd = (hi - lo) / (2.0 * step)
+            denom = max(abs(gflat[i]), abs(fd))
+            rel = 0.0 if denom < 1e-6 else abs(gflat[i] - fd) / denom
+            if rel > worst:
+                worst = rel
+                worst_param = k
+    return GradCheckReport(max_rel_error=worst, worst_param=worst_param, ok=worst < rtol)
+
+
+def check_build_loss_gradients(model, batch, rtol: float = 1e-4) -> GradCheckReport:
+    """``finite_difference_check`` of ``model.build_loss`` on ``batch`` at
+    the model's parameters."""
+    _, grads = build_loss_and_grads(model, model.parameters, batch)
+    return finite_difference_check(
+        lambda params: float(model.build_loss(Tape(), params, batch)[0]), grads, model.parameters, rtol=rtol
+    )
+
+
 # -- the per-step GRU path ---------------------------------------------------------
 
 GRU_NAMES = ("wz", "bz", "wr", "br", "wh", "bh")
@@ -292,7 +649,7 @@ def gru_cell_concat_vjp(g, h, weights, cache):
     )
 
 
-class StepTape(Tape):
+class StepTape(GraphTape):
     """The tape plus the per-step ops the sequence-level GRU replaced."""
 
     def where_rows(self, mask, a, b):
@@ -394,9 +751,9 @@ def encode_batch_freeze_every_step(model, ids):
     return h
 
 
-def decode_greedy_batch_freeze_rows(model, latents, max_len=None):
+def decode_greedy_batch_freeze_rows(model, latents):
     """``Autoencoder.decode_greedy_batch`` with finished rows frozen."""
-    limit = model.config.max_len if max_len is None else max_len
+    limit = model.config.max_len
     b = latents.shape[0]
     h = latents.copy()
     table, u = model._gru_inference("dec")
@@ -427,7 +784,7 @@ def decode_greedy_batch_freeze_rows(model, latents, max_len=None):
 def classifier_grads_tape(params: dict, pooled, targets) -> dict:
     """Gradients of the classifier's mean cross-entropy on one minibatch,
     taken with the tape: (pooled @ embedding) @ out_w + out_b."""
-    tape = Tape()
+    tape = GraphTape()
     leaves = {k: tape.leaf(v, name=k) for k, v in params.items()}
     logits = tape.add(
         tape.matmul(tape.matmul(tape.leaf(pooled, name="pooled"), leaves["embedding"]), leaves["out_w"]),

@@ -17,6 +17,7 @@ from oracles import (
     CURATED_LEAK_CASES,
     MACRO_F1_HAND_CASES,
     bleu_brute_force,
+    check_build_loss_gradients,
     leak_audit_brute_force,
 )
 
@@ -24,7 +25,7 @@ from dprw.autoencoder import Autoencoder, AutoencoderConfig, pad_batch, pretrain
 from dprw.corpus import Document, build_vocabulary, encode, tokenize, write_split
 from dprw.dpmech import BOUND_TOL, PrivacyParams, run_bound_suite
 from dprw.metrics import bleu, leak_audit, macro_f1
-from dprw.numcore import Rng, finite_difference_check
+from dprw.numcore import Rng
 from dprw.pipeline import (
     EPSILON_LADDER,
     ExperimentConfig,
@@ -114,7 +115,7 @@ def test_criterion_2_miscalibrated_scale_fails_loudly():
 
 
 def test_criterion_3_gradients_match_finite_differences_on_50_models():
-    # 50 random tiny autoencoders, full-loss tape gradients vs central
+    # 50 random tiny autoencoders, full-loss backward gradients vs central
     # differences, max relative error < 1e-4, under 1 minute
     started = time.perf_counter()
     worst = 0.0
@@ -139,11 +140,7 @@ def test_criterion_3_gradients_match_finite_differences_on_50_models():
         )
         model = Autoencoder(config, vocab, rng=rng.derive("init"))
         batch = pad_batch([encode(d, vocab, config.max_len) for d in train])
-        report = finite_difference_check(
-            lambda tape, leaves: model.build_loss(tape, leaves, batch),
-            model.parameters,
-            rtol=1e-4,
-        )
+        report = check_build_loss_gradients(model, batch, rtol=1e-4)
         worst = max(worst, report.max_rel_error)
         assert report.ok, (
             f"model {trial}: rel error {report.max_rel_error:.2e} in {report.worst_param}"

@@ -1,4 +1,5 @@
-"""GRU autoencoder: tape/numpy parity, training, and checkpoint format."""
+"""GRU autoencoder: training/inference parity, the training graph against
+its references, training, and checkpoint format."""
 
 import json
 import math
@@ -7,13 +8,17 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from oracles import (
+    build_loss_and_grads,
+    build_loss_graph,
+    check_build_loss_gradients,
     decode_greedy_batch_freeze_rows,
     decode_greedy_batch_per_step,
     encode_batch_freeze_every_step,
     encode_batch_per_step,
+    graph_loss_and_grads,
     loss_and_grads_per_step,
 )
 
@@ -42,7 +47,7 @@ from dprw.corpus import (
     encode,
 )
 from dprw.dpmech import PrivacyParams, privatize
-from dprw.numcore import AdamState, NonFiniteError, Rng, Tape, finite_difference_check
+from dprw.numcore import AdamState, NonFiniteError, Rng, Tape, gru_pass
 from dprw.pipeline import EPSILON_LADDER, rewrite_documents
 from dprw.synth import FLIGHTS, make_corpus
 
@@ -132,15 +137,14 @@ def test_tape_and_numpy_gru_agree():
     model = tiny_model()
     batch = doc_batch(model)
     h_np = model.encode_batch(batch)
-    # tape side: build_loss's encoder pass
-    tape = Tape()
-    leaves = {k: tape.leaf(v, name=k) for k, v in model.parameters.items()}
+    # training side: build_loss's encoder pass
+    p = model.parameters
     steps = batch.T
-    h0 = tape.leaf(np.zeros((batch.shape[0], model.config.hidden_dim)))
-    x = tape.row_select(leaves["embedding"], steps.reshape(-1))
-    h = tape.gru_pass(x, h0, [leaves[f"enc_{k}"] for k in ("wz", "bz", "wr", "br", "wh", "bh")], mask=steps != PAD_ID)
+    h0 = np.zeros((batch.shape[0], model.config.hidden_dim))
+    weights = [p[f"enc_{k}"] for k in ("wz", "bz", "wr", "br", "wh", "bh")]
+    h, _ = gru_pass(p["embedding"][steps.reshape(-1)], h0, weights, mask=steps != PAD_ID)
     # one GRU cell; the input projections are rows of different GEMMs
-    np.testing.assert_allclose(h.value, h_np, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(h, h_np, rtol=0, atol=1e-15)
 
 
 # -- the per-step oracle -----------------------------------------------------------
@@ -183,24 +187,68 @@ def test_build_loss_matches_the_per_step_oracle(b, t_len, clip_c, seed):
     assert np.all(norms > clip_c) if clip_c < 1 else np.all(norms < clip_c)
 
     expected_loss, expected = loss_and_grads_per_step(model, ids)
-    tape = Tape()
-    leaves = {k: tape.leaf(v, name=k) for k, v in model.parameters.items()}
-    loss = model.build_loss(tape, leaves, ids)
-    tape.backward(loss)
-    assert math.isclose(float(loss.value), expected_loss, rel_tol=1e-12)
+    loss, grads = build_loss_and_grads(model, model.parameters, ids)
+    assert math.isclose(float(loss), expected_loss, rel_tol=1e-12)
+    assert set(grads) == set(expected)
     for name, grad in expected.items():
-        assert_close(leaves[name].grad, grad)
+        assert_close(grads[name], grad)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    b=st.integers(1, 5),
+    t_len=st.integers(2, 6),
+    regime=st.sampled_from(["inside", "outside", "both"]),
+    dtype=st.sampled_from([np.float32, np.float64]),
+    seed=st.integers(0, 10_000),
+)
+@example(b=3, t_len=5, regime="both", dtype=np.float32, seed=0)
+@example(b=3, t_len=5, regime="both", dtype=np.float64, seed=1)
+def test_build_loss_and_backward_equal_the_graph_tape_bit_for_bit(b, t_len, regime, dtype, seed):
+    # the latent rows sit inside the clip ball, outside it, or one of each
+    rng = Rng(seed)
+    model = oracle_model(9, 3, 4, 1.0, seed)
+    ids = rng.derive("ids").integers(1, 9, size=(b, t_len))
+    lengths = rng.derive("len").integers(2, t_len + 1, size=b)
+    lengths[0] = 2  # PAD from step 2 on
+    ids[np.arange(t_len)[None, :] >= lengths[:, None]] = PAD_ID
+    norms = np.sort(np.abs(model.encode_batch(ids)).sum(axis=1))
+    assume(regime != "both" or norms[-1] > 1.1 * norms[0])
+    clip_c = {"inside": 2.0 * norms[-1], "outside": 0.5 * norms[0], "both": 0.5 * (norms[0] + norms[-1])}[regime]
+    model = Autoencoder(replace(model.config, clip_c=float(clip_c)), model.vocabulary, model.parameters)
+    params = {k: v.astype(dtype) for k, v in model.parameters.items()}
+
+    loss, grads = build_loss_and_grads(model, params, ids)
+    expected_loss, expected = graph_loss_and_grads(lambda tape, leaves: build_loss_graph(model, tape, leaves, ids), params)
+    assert loss.dtype == expected_loss.dtype == dtype
+    assert np.asarray(loss).tobytes() == expected_loss.tobytes()
+    assert set(grads) == set(expected) == set(params)
+    for name, grad in expected.items():
+        assert grads[name].dtype == grad.dtype == dtype, name
+        assert grads[name].tobytes() == grad.tobytes(), name
 
 
 def test_build_loss_is_one_node_per_pass():
     model = tiny_model()
     tape = Tape()
-    leaves = {k: tape.leaf(v, name=k) for k, v in model.parameters.items()}
-    model.build_loss(tape, leaves, doc_batch(model))
-    assert [n.name for n in tape.nodes] == [
-        "row_select", "gru_pass", "clip_rows_l1",
-        "row_select", "gru_pass", "matmul", "add", "softmax_cross_entropy",
-    ]
+    _, grads = model.build_loss(tape, model.parameters, doc_batch(model))
+    assert [name for name, _ in tape.nodes] == ["encoder", "clip", "decoder", "output", "cross_entropy"]
+    assert grads == {}  # filled by backward
+    tape.backward(np.ones(()))
+    assert set(grads) == set(model.parameters)
+
+
+def test_build_loss_checks_parameters_and_ids():
+    model = tiny_model()
+    batch = doc_batch(model)
+    with pytest.raises(ValueError, match="token id out of range"):
+        model.build_loss(Tape(), model.parameters, np.where(batch == PAD_ID, len(model.vocabulary), batch))
+    with pytest.raises(ValueError, match="token id out of range"):
+        model.build_loss(Tape(), model.parameters, np.where(batch == PAD_ID, -1, batch))
+    params = {**model.parameters, "out_w": model.parameters["out_w"].copy()}
+    params["out_w"][1, 2] = np.nan
+    with pytest.raises(NonFiniteError, match="'out_w'"):
+        model.build_loss(Tape(), params, batch)
 
 
 @pytest.fixture(scope="module")
@@ -270,14 +318,21 @@ def test_decode_is_deterministic():
 @pytest.mark.parametrize("eos_bias", [-30.0, 1.0, 30.0])
 def test_decode_equals_the_freeze_rows_loop(eos_bias, max_len):
     # the EOS bias sets the mix: -30 never emits EOS, so every row hits the
-    # limit; 30 ends every row at step 0; 1 ends rows at steps 0 to 6
+    # limit; 30 ends every row at step 0; 1 ends rows at steps 0 to 6. The
+    # content budget is the config's max_len (None: TINY's 6); the config
+    # refuses a budget of 0, so no model decodes with one
     model = tiny_model()
+    if max_len == 0:
+        with pytest.raises(ValueError, match="max_len must be positive"):
+            replace(model.config, max_len=max_len)
+        return
     params = {**model.parameters, "out_b": model.parameters["out_b"].copy()}
     params["out_b"][EOS_ID] = eos_bias
     model = Autoencoder(model.config, model.vocabulary, params)
+    budget = model if max_len is None else Autoencoder(replace(model.config, max_len=max_len), model.vocabulary, params)
     latents = Rng(31).normal(0.0, 2.0, (16, model.config.hidden_dim))
     for batch in (latents, latents[:3], latents[5:6]):
-        assert model.decode_greedy_batch(batch, max_len) == decode_greedy_batch_freeze_rows(model, batch, max_len)
+        assert budget.decode_greedy_batch(batch) == decode_greedy_batch_freeze_rows(budget, batch)
     lengths = {len(seq) - 2 for seq in model.decode_greedy_batch(latents)}
     assert lengths == {-30.0: {6}, 1.0: {0, 1, 2, 3, 4, 6}, 30.0: {0}}[eos_bias]
 
@@ -295,23 +350,29 @@ def test_initial_loss_is_log_vocab_with_zeroed_output_layer():
     model = tiny_model()
     model.parameters["out_w"][:] = 0.0
     model.parameters["out_b"][:] = 0.0
-    tape = Tape()
-    leaves = {k: tape.leaf(v) for k, v in model.parameters.items()}
-    loss = model.build_loss(tape, leaves, doc_batch(model))
-    assert np.isclose(float(loss.value), np.log(len(model.vocabulary)))
+    loss, _ = model.build_loss(Tape(), model.parameters, doc_batch(model))
+    assert np.isclose(float(loss), np.log(len(model.vocabulary)))
 
 
-def test_latent_is_clipped_during_training():
+def test_latent_is_clipped_during_training(monkeypatch):
     model = tiny_model()
     # inflate the encoder output so clipping must engage
     model.parameters["enc_wh"] *= 50.0
     batch = doc_batch(model)
-    tape = Tape()
-    leaves = {k: tape.leaf(v) for k, v in model.parameters.items()}
-    model.build_loss(tape, leaves, batch)
-    clip_nodes = [n for n in tape.nodes if n.name == "clip_rows_l1"]
-    assert len(clip_nodes) == 1
-    norms = np.abs(clip_nodes[0].value).sum(axis=1)
+    clips = []
+    real = dprw.autoencoder.clip_rows_l1
+
+    def spy(x, c):
+        clips.append((x, c, real(x, c)))
+        return clips[-1][2]
+
+    monkeypatch.setattr(dprw.autoencoder, "clip_rows_l1", spy)
+    model.build_loss(Tape(), model.parameters, batch)
+    assert len(clips) == 1
+    final, c, (latent, _, scale) = clips[0]
+    assert c == model.config.clip_c and final.shape == (batch.shape[0], model.config.hidden_dim)
+    assert (scale < 1.0).any()
+    norms = np.abs(latent).sum(axis=1)
     assert np.all(norms <= model.config.clip_c + 1e-9)
 
 
@@ -332,10 +393,7 @@ def test_train_step_validates_batch_and_reduces_loss():
 def test_full_loss_gradients_pass_finite_differences():
     model = tiny_model(seed=5)
     batch = doc_batch(model, DOCS[:2])
-    report = finite_difference_check(
-        lambda tape, leaves: model.build_loss(tape, leaves, batch),
-        model.parameters,
-    )
+    report = check_build_loss_gradients(model, batch)
     assert report.ok, f"worst {report.worst_param}: {report.max_rel_error}"
 
 
@@ -580,7 +638,7 @@ def test_load_checkpoint_fuzz_raises_only_checkpoint_errors(valid_checkpoint, da
     else:
         # what loads is a usable model
         model = Autoencoder.from_checkpoint(ckpt)
-        model.decode_greedy_batch(model.encode_batch(doc_batch(model)), max_len=3)
+        model.decode_greedy_batch(model.encode_batch(doc_batch(model)))
 
 
 @pytest.mark.parametrize(

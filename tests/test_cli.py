@@ -211,6 +211,16 @@ def test_validate_dp_writes_nothing_when_a_ratio_overflows(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_validate_dp_refuses_a_noise_scale_of_zero_before_any_draw(tmp_path, capsys, monkeypatch):
+    # 2C / epsilon underflows to 0: the audit would run without noise
+    monkeypatch.setattr(dprw.cli, "run_bound_suite", lambda *args, **kwargs: pytest.fail("the audit ran"))
+    out = tmp_path / "v"
+    argv = ["validate-dp", "--epsilon", "1e308", "--clip", "1e-300", "--dim", "4", "--trials", "50"]
+    assert main([*argv, "--out-dir", str(out)]) == EXIT_CONFIG
+    assert "epsilon 1e+308 with clip_c 1e-300 gives noise scale b = 2 * clip_c / epsilon = 0.0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_validate_dp_offers_no_jobs_option(tmp_path, capsys):
     # the audit runs in one process; a --jobs value would be ignored
     assert main(["validate-dp", "--epsilon", "1", "--jobs", "2"]) == EXIT_CONFIG
@@ -508,6 +518,29 @@ def test_rewrite_refuses_a_clip_other_than_the_checkpoints(workspace, clip2_chec
     out = tmp_path / "matching_clip"
     assert main([*argv, "--clip", "2", "--out-dir", str(out)]) == EXIT_OK
     assert json.loads((out / "config_resolved.json").read_text())["clip_c"] == 2.0
+
+
+def test_rewrite_refuses_an_infinite_noise_scale_before_writing(workspace, tmp_path, capsys):
+    # 2C / epsilon overflows to inf: every rewrite would be noise. With
+    # --clip the pair is refused as configuration (1), without it once the
+    # checkpoint's radius (5) is read (2)
+    argv = ["rewrite", "--checkpoint", str(workspace / "ckpt.bin"), "--train", str(workspace / "train.tsv"),
+            "--epsilon", "1e-308", "--seed", "1"]
+    for clip, code in ((["--clip", "5"], EXIT_CONFIG), ([], EXIT_RUNTIME)):
+        out = tmp_path / f"out{len(clip)}"
+        assert main([*argv, *clip, "--out-dir", str(out)]) == code
+        assert "epsilon 1e-308 with clip_c 5.0 gives noise scale b = 2 * clip_c / epsilon = inf" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_case_study_refuses_a_ladder_epsilon_without_a_noise_scale_before_pretraining(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(dprw.pipeline, "pretrain", lambda *args: pytest.fail("pre-training ran"))
+    out = tmp_path / "case"
+    argv = ["case-study", "--dataset-a", "a", "--dataset-b", "b", "--out-dir", str(out)]
+    for clip, named in (("1e308", "epsilon 1000.0 with clip_c 1e+308"), ("1e-322", "epsilon 1000.0 with clip_c 1e-322")):
+        assert main([*argv, "--clip", clip]) == EXIT_CONFIG
+        assert named in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_rewrite_defaults_to_the_checkpoints_clip(workspace, clip2_checkpoint, tmp_path):

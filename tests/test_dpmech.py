@@ -1,6 +1,7 @@
 """Clipping, calibration, Laplace sampling, and the privacy-bound audit."""
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -20,7 +21,7 @@ from dprw.dpmech import (
     sample_laplace,
     verify_dp_bound,
 )
-from dprw.numcore import Rng, Tape
+from dprw.numcore import Rng, clip_rows_l1
 from oracles import run_bound_suite_whole
 
 # -- parameters ------------------------------------------------------------------
@@ -35,6 +36,21 @@ def test_privacy_params_validation():
     for clip in (0.0, -2.0, math.inf):
         with pytest.raises(ValueError):
             PrivacyParams(epsilon=1.0, clip_c=clip)
+
+
+@pytest.mark.parametrize(
+    "epsilon, clip_c, b",
+    [(1e308, 1e-300, "0.0"), (1e-308, 5.0, "inf"), (1.0, 1e308, "inf"), (1000.0, 1e-322, "0.0")],
+)
+def test_privacy_params_refuse_a_noise_scale_of_zero_or_infinity(epsilon, clip_c, b):
+    # b = 2C / epsilon underflows to 0 (no noise) or overflows to inf
+    named = f"epsilon {epsilon!r} with clip_c {clip_c!r} gives noise scale b = 2 * clip_c / epsilon = {b}"
+    with pytest.raises(ValueError, match=re.escape(named)):
+        PrivacyParams(epsilon=epsilon, clip_c=clip_c)
+    assert PrivacyParams(epsilon=math.inf, clip_c=clip_c).non_private
+    # the nearest representable settings still calibrate a positive finite scale
+    assert 0.0 < calibrate_scale(PrivacyParams(epsilon=1e300, clip_c=1e-5)) < math.inf
+    assert 0.0 < calibrate_scale(PrivacyParams(epsilon=1e-300, clip_c=5.0)) < math.inf
 
 
 def test_non_private_flag():
@@ -75,12 +91,11 @@ def test_clip_l1_is_the_tape_row_clip_bit_for_bit():
     rng = Rng(21)
     rows = rng.derive("rows").normal(0.0, 1.0, (400, 33)) * rng.derive("mag").uniform(0.0, 3.0, (400, 1))
     rows[::7, ::3] = -0.0  # signed zeros must survive untouched rows
-    tape = Tape()
-    clipped = tape.clip_rows_l1(tape.leaf(rows), 10.0).value
-    for row, tape_row in zip(rows, clipped):
+    clipped = clip_rows_l1(rows, 10.0)[0]
+    for row, batch_row in zip(rows, clipped):
         norm = float(np.abs(row).sum())
         expected = row.copy() if norm <= 10.0 else row * (10.0 / norm)
-        assert clip_l1(row, 10.0).tobytes() == tape_row.tobytes() == expected.tobytes()
+        assert clip_l1(row, 10.0).tobytes() == batch_row.tobytes() == expected.tobytes()
 
 
 @settings(max_examples=100, deadline=None)

@@ -1,9 +1,11 @@
-"""Deterministic RNG streams, tape autodiff, Adam, and the grad checker."""
+"""Deterministic RNG streams, the training passes and their backward,
+the tape, Adam, and the graph-tape reference and gradient checker."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import GraphTape, finite_difference_check, graph_loss_and_grads
 
 import dprw.numcore
 from dprw.numcore import (
@@ -13,9 +15,12 @@ from dprw.numcore import (
     Tape,
     adam_step,
     clip_rows_l1,
-    finite_difference_check,
+    clip_rows_l1_vjp,
     gru_cell,
+    gru_pass,
+    rows_grad,
     sigmoid,
+    softmax_cross_entropy,
     split_gru_weights,
 )
 
@@ -96,11 +101,11 @@ def test_rng_integers_range():
     assert vals.min() >= 2 and vals.max() < 7
 
 
-# -- tape forward semantics ------------------------------------------------------
+# -- forward semantics: the graph tape and the passes ------------------------------
 
 
 def test_matmul_add_bias_forward():
-    t = Tape()
+    t = GraphTape()
     a = t.leaf(np.array([[1.0, 2.0], [3.0, 4.0]]))
     w = t.leaf(np.array([[1.0, 0.0], [0.0, 1.0]]))
     b = t.leaf(np.array([10.0, 20.0]))
@@ -109,25 +114,32 @@ def test_matmul_add_bias_forward():
 
 
 def test_shape_mismatches_raise():
-    t = Tape()
+    t = GraphTape()
     a = t.leaf(np.ones((2, 3)))
     b = t.leaf(np.ones((2, 2)))
     with pytest.raises(ValueError):
         t.matmul(a, b)
     with pytest.raises(ValueError):
-        t.softmax_cross_entropy(a, np.array([0]), ignore_id=-1)
-    with pytest.raises(ValueError):
         t.add(a, b)
+    for z, targets in ((np.ones((2, 3)), np.array([0])), (np.ones(3), np.array([0, 1, 2]))):
+        with pytest.raises(ValueError, match="expects"):
+            softmax_cross_entropy(z, targets, ignore_id=-1)
+    with pytest.raises(ValueError, match="out of range"):
+        softmax_cross_entropy(np.ones((2, 3)), np.array([0, 3]), ignore_id=-1)
+    with pytest.raises(ValueError, match="out of range"):
+        softmax_cross_entropy(np.ones((2, 3)), np.array([-2, 1]), ignore_id=-1)
 
 
 def test_non_finite_values_are_rejected():
-    t = Tape()
+    t = GraphTape()
     with pytest.raises(NonFiniteError):
         t.leaf(np.array([1.0, np.inf]))
+    with np.errstate(invalid="ignore"), pytest.raises(NonFiniteError, match="softmax_cross_entropy"):
+        softmax_cross_entropy(np.array([[np.inf, 0.0]]), np.array([1]), ignore_id=-1)
 
 
 def test_leaves_are_checked_but_only_ops_are_recorded():
-    t = Tape()
+    t = GraphTape()
     a = t.leaf(np.ones((2, 2)), name="a")
     assert t.nodes == [] and a.name == "a"
     out = t.matmul(a, a)
@@ -141,7 +153,7 @@ def test_sigmoid_is_stable_for_large_inputs():
 
 
 def test_row_select_gathers_rows():
-    t = Tape()
+    t = GraphTape()
     table = t.leaf(np.arange(6.0).reshape(3, 2))
     out = t.row_select(table, [2, 0, 2])
     np.testing.assert_array_equal(out.value, [[4.0, 5.0], [0.0, 1.0], [4.0, 5.0]])
@@ -162,61 +174,55 @@ def test_clip_rows_l1_function_validates_and_reports_scale():
 
 
 def test_clip_rows_l1_inside_rows_pass_through_bit_exact():
-    t = Tape()
     x = np.array([[0.25, -0.5, 0.125], [3.0, -3.0, 3.0]])
-    out = t.clip_rows_l1(t.leaf(x), 2.0)
-    assert np.array_equal(out.value[0], x[0])  # norm 0.875 < 2, untouched
-    assert np.isclose(np.abs(out.value[1]).sum(), 2.0)
-    np.testing.assert_allclose(out.value[1] / np.abs(out.value[1]).sum() * 9.0, x[1])
+    out = clip_rows_l1(x, 2.0)[0]
+    assert np.array_equal(out[0], x[0])  # norm 0.875 < 2, untouched
+    assert np.isclose(np.abs(out[1]).sum(), 2.0)
+    np.testing.assert_allclose(out[1] / np.abs(out[1]).sum() * 9.0, x[1])
 
 
 def test_softmax_cross_entropy_matches_log_softmax():
-    t = Tape()
     z = np.array([[1.0, 2.0, 3.0], [0.0, 0.0, 0.0]])
     targets = np.array([2, 1])
-    loss = t.softmax_cross_entropy(t.leaf(z), targets, ignore_id=-1)
+    loss, _ = softmax_cross_entropy(z, targets, ignore_id=-1)
     expected = np.mean(
         [-z[i, targets[i]] + np.log(np.exp(z[i]).sum()) for i in range(2)]
     )
-    assert np.isclose(float(loss.value), expected)
+    assert np.isclose(float(loss), expected)
 
 
 def test_softmax_cross_entropy_uniform_logits_is_log_vocab():
-    t = Tape()
     v = 11
-    loss = t.softmax_cross_entropy(t.leaf(np.zeros((4, v))), np.array([0, 1, 2, 3]), ignore_id=0)
+    loss, _ = softmax_cross_entropy(np.zeros((4, v)), np.array([0, 1, 2, 3]), ignore_id=0)
     # rows with target 0 are ignored; remaining rows each cost ln(v)
-    assert np.isclose(float(loss.value), np.log(v))
+    assert np.isclose(float(loss), np.log(v))
 
 
 def test_softmax_cross_entropy_ignores_masked_rows():
-    t = Tape()
     z = np.array([[5.0, 0.0], [0.0, 5.0], [7.0, 7.0]])
-    with_pad = t.softmax_cross_entropy(t.leaf(z), np.array([0, 1, -1]), ignore_id=-1)
-    t2 = Tape()
-    without = t2.softmax_cross_entropy(t2.leaf(z[:2]), np.array([0, 1]), ignore_id=-1)
-    assert np.isclose(float(with_pad.value), float(without.value))
+    with_pad, backward = softmax_cross_entropy(z, np.array([0, 1, -1]), ignore_id=-1)
+    without, backward_without = softmax_cross_entropy(z[:2], np.array([0, 1]), ignore_id=-1)
+    assert np.isclose(float(with_pad), float(without))
+    grad = backward(np.float64(1.0))
+    np.testing.assert_array_equal(grad[2], [0.0, 0.0])
+    np.testing.assert_array_equal(grad[:2], backward_without(np.float64(1.0)))
 
 
 def test_softmax_cross_entropy_all_ignored_raises():
-    t = Tape()
     with pytest.raises(ValueError):
-        t.softmax_cross_entropy(t.leaf(np.zeros((2, 3))), np.array([0, 0]), ignore_id=0)
+        softmax_cross_entropy(np.zeros((2, 3)), np.array([0, 0]), ignore_id=0)
 
 
-# -- tape backward semantics -----------------------------------------------------
+# -- backward semantics: the graph tape, the tape and the passes ------------------
 
 
 def _ce_grad(z, targets):
-    """d mean-CE / d logits, from a tape holding only the cross-entropy."""
-    t = Tape()
-    leaf = t.leaf(z)
-    t.backward(t.softmax_cross_entropy(leaf, targets, ignore_id=-1))
-    return leaf.grad
+    """d mean-CE / d logits."""
+    return softmax_cross_entropy(z, targets, ignore_id=-1)[1](np.float64(1.0))
 
 
 def test_gradient_accumulates_across_consumers():
-    t = Tape()
+    t = GraphTape()
     x = t.leaf(np.array([[2.0, -1.0]]))
     t.backward(t.softmax_cross_entropy(t.add(x, x), np.array([0]), ignore_id=-1))
     # both consumers of x pass on d/d(2x)
@@ -224,7 +230,7 @@ def test_gradient_accumulates_across_consumers():
 
 
 def test_backward_requires_scalar_and_runs_once():
-    t = Tape()
+    t = GraphTape()
     x = t.leaf(np.ones((2, 2)))
     with pytest.raises(ValueError):
         t.backward(x)
@@ -232,21 +238,40 @@ def test_backward_requires_scalar_and_runs_once():
     t.backward(s)
     with pytest.raises(RuntimeError):
         t.backward(s)
+    # the package's tape runs its steps newest first, each on the last one's output
+    calls = []
+    tape = Tape()
+    tape.record("first", lambda g: calls.append(("first", g)))
+    tape.record("second", lambda g: calls.append(("second", g)) or g + 1)
+    tape.backward(1)
+    assert [name for name, _ in tape.nodes] == ["first", "second"]
+    assert calls == [("second", 1), ("first", 2)]
+    with pytest.raises(RuntimeError):
+        tape.backward(1)
+    assert len(calls) == 2
 
 
 def test_row_select_gradient_accumulates_duplicate_ids():
-    t = Tape()
-    table = t.leaf(np.array([[0.0, 1.0], [2.0, -1.0], [0.5, 0.5]]))
-    targets = np.array([0, 1, 1])
-    picked = t.row_select(table, [1, 1, 2])
-    t.backward(t.softmax_cross_entropy(picked, targets, ignore_id=-1))
-    g = _ce_grad(picked.value, targets)
-    np.testing.assert_array_equal(table.grad, [[0.0, 0.0], g[0] + g[1], g[2]])
+    table = np.array([[0.0, 1.0], [2.0, -1.0], [0.5, 0.5]])
+    targets, ids = np.array([0, 1, 1]), np.array([1, 1, 2])
+    g = _ce_grad(table[ids], targets)
+    grad = rows_grad(table, ids, g)
+    np.testing.assert_array_equal(grad, [[0.0, 0.0], g[0] + g[1], g[2]])
+    t = GraphTape()
+    leaf = t.leaf(table)
+    t.backward(t.softmax_cross_entropy(t.row_select(leaf, ids), targets, ignore_id=-1))
+    assert grad.tobytes() == leaf.grad.tobytes()
 
 
-def _gradcheck(build, params, rtol=1e-4):
-    report = finite_difference_check(build, params, rtol=rtol)
+def _gradcheck(loss, grads, params, rtol=1e-4):
+    report = finite_difference_check(loss, grads, params, rtol=rtol)
     assert report.ok, f"worst {report.worst_param}: {report.max_rel_error}"
+
+
+def _gradcheck_chain(forward, params, rtol=1e-4):
+    """``forward(params) -> (loss, backward)``, where ``backward()`` gives
+    the gradient dict, checked against finite differences."""
+    _gradcheck(lambda p: float(forward(p)[0]), forward(params)[1](), params, rtol)
 
 
 def test_gradcheck_dense_layer():
@@ -257,12 +282,15 @@ def test_gradcheck_dense_layer():
         "b": rng.derive("b").normal(0.0, 1.0, 2),
     }
     targets = np.array([1, 0, -1])
-    _gradcheck(
-        lambda t, lv: t.softmax_cross_entropy(
-            t.add(t.matmul(lv["x"], lv["w"]), lv["b"]), targets, ignore_id=-1
-        ),
-        params,
-    )
+
+    def build(t, lv):
+        return t.softmax_cross_entropy(t.add(t.matmul(lv["x"], lv["w"]), lv["b"]), targets, ignore_id=-1)
+
+    def loss(p):
+        t = GraphTape()
+        return float(build(t, {k: t.leaf(v) for k, v in p.items()}).value)
+
+    _gradcheck(loss, graph_loss_and_grads(build, params)[1], params)
 
 
 GRU_GATES = ("wz", "bz", "wr", "br", "wh", "bh")
@@ -295,22 +323,22 @@ def test_gru_pass_forward_is_gru_cell():
         states.append(h)
     np.testing.assert_array_equal(states[2][1], states[0][1])  # PAD rows keep their state
     for all_states, expected in ((False, h), (True, np.concatenate(states))):
-        t = Tape()
-        out = t.gru_pass(t.leaf(x), t.leaf(h0), [t.leaf(w[k]) for k in GRU_GATES], mask=mask, all_states=all_states)
-        assert out.value.tobytes() == expected.tobytes()
+        out, _ = gru_pass(x, h0, [w[k] for k in GRU_GATES], mask=mask, all_states=all_states)
+        assert out.tobytes() == expected.tobytes()
 
 
 def test_gru_pass_checks_shapes():
     rng = Rng(15)
     x, h0, w = gru_inputs(rng, 3, 2, 3, 4)
-    t = Tape()
-    weights = [t.leaf(w[k]) for k in GRU_GATES]
+    weights = [w[k] for k in GRU_GATES]
     with pytest.raises(ValueError):
-        t.gru_pass(t.leaf(x[:5]), t.leaf(h0), weights)
+        gru_pass(x[:5], h0, weights)
     with pytest.raises(ValueError):
-        t.gru_pass(t.leaf(h0), t.leaf(h0), weights)
+        gru_pass(h0, h0, weights)
     with pytest.raises(ValueError):
-        t.gru_pass(t.leaf(x), t.leaf(h0), weights, mask=np.ones((2, 2), dtype=bool))
+        gru_pass(x, h0, weights, mask=np.ones((2, 2), dtype=bool))
+    with pytest.raises(ValueError):
+        gru_pass(x, h0, weights[:-1] + [np.zeros(5)])
 
 
 def test_gru_pass_checks_every_state(monkeypatch):
@@ -326,9 +354,8 @@ def test_gru_pass_checks_every_state(monkeypatch):
 
     monkeypatch.setattr(dprw.numcore, "gru_cell", poisoned)
     x, h0, w = gru_inputs(Rng(15), 3, 2, 3, 4)
-    t = Tape()
     with pytest.raises(NonFiniteError, match="gru_pass"):
-        t.gru_pass(t.leaf(x), t.leaf(h0), [t.leaf(w[k]) for k in GRU_GATES])
+        gru_pass(x, h0, [w[k] for k in GRU_GATES])
 
 
 def test_gru_pass_gradients_are_computed_lazily_and_once(monkeypatch):
@@ -341,12 +368,13 @@ def test_gru_pass_gradients_are_computed_lazily_and_once(monkeypatch):
 
     monkeypatch.setattr(dprw.numcore, "gru_cell_vjp", counting)
     x, h0, w = gru_inputs(Rng(16), 3, 2, 2, 3)
-    t = Tape()
-    states = t.gru_pass(t.leaf(x), t.leaf(h0), [t.leaf(w[k]) for k in GRU_GATES], all_states=True)
-    loss = t.softmax_cross_entropy(states, np.array([0, 2, 1, 1, 2, 0]), ignore_id=-1)
+    states, backward = gru_pass(x, h0, [w[k] for k in GRU_GATES], all_states=True)
+    loss, ce_backward = softmax_cross_entropy(states, np.array([0, 2, 1, 1, 2, 0]), ignore_id=-1)
     assert calls == []  # a forward-only evaluation computes no gradients
-    t.backward(loss)
-    assert calls == [1, 1, 1]  # one backward step per time step, for all eight parents
+    dx, dh0, dweights = backward(ce_backward(np.float64(1.0)))
+    assert calls == [1, 1, 1]  # one backward step per time step, for all eight inputs
+    assert dx.shape == x.shape and dh0.shape == h0.shape
+    assert [d.shape for d in dweights] == [w[k].shape for k in GRU_GATES]
 
 
 def test_gradcheck_gru_pass_with_pad_rows():
@@ -362,46 +390,65 @@ def test_gradcheck_gru_pass_with_pad_rows():
     }
     ids = np.array([[1, 0, 4], [2, 3, 0], [4, 1, 0]])
     targets = np.array([4, 0, 2, 1, -1, 3])
+    enc_ids, dec_ids = ids.reshape(-1), ids[:2].reshape(-1)
 
-    def build(t, lv):
-        x = t.row_select(lv["table"], ids.reshape(-1))
-        h = t.gru_pass(x, lv["h0"], [lv[k] for k in GRU_GATES], mask=ids != 0)
-        x_dec = t.row_select(lv["table"], ids[:2].reshape(-1))
-        states = t.gru_pass(x_dec, h, [lv[f"dec_{k}"] for k in GRU_GATES], all_states=True)
-        return t.softmax_cross_entropy(t.matmul(states, lv["out_w"]), targets, ignore_id=-1)
+    def forward(p):
+        h, enc_back = gru_pass(p["table"][enc_ids], p["h0"], [p[k] for k in GRU_GATES], mask=ids != 0)
+        states, dec_back = gru_pass(p["table"][dec_ids], h, [p[f"dec_{k}"] for k in GRU_GATES], all_states=True)
+        loss, ce_back = softmax_cross_entropy(states @ p["out_w"], targets, ignore_id=-1)
 
-    _gradcheck(build, params)
+        def backward():
+            g = ce_back(np.float64(1.0))
+            dx_dec, dh, dec = dec_back(g @ p["out_w"].T)
+            dx_enc, dh0, enc = enc_back(dh)
+            return {
+                "table": rows_grad(p["table"], dec_ids, dx_dec) + rows_grad(p["table"], enc_ids, dx_enc),
+                "h0": dh0,
+                "out_w": states.T @ g,
+                **dict(zip(GRU_GATES, enc)),
+                **{f"dec_{k}": d for k, d in zip(GRU_GATES, dec)},
+            }
+
+        return loss, backward
+
+    _gradcheck_chain(forward, params)
 
 
 def test_gradcheck_clip_rows_both_regimes():
     # one row inside the ball, one clipped: exercises the rank-one term
     params = {"x": np.array([[0.2, -0.3, 0.1], [2.0, -1.5, 1.0]])}
 
-    def build(t, lv):
-        clipped = t.clip_rows_l1(lv["x"], 1.0)
-        return t.softmax_cross_entropy(clipped, np.array([0, 2]), ignore_id=-1)
+    def forward(p):
+        clipped, norms, scale = clip_rows_l1(p["x"], 1.0)
+        assert (scale == 1.0).any() and (scale < 1.0).any()
+        loss, ce_back = softmax_cross_entropy(clipped, np.array([0, 2]), ignore_id=-1)
+        return loss, lambda: {"x": clip_rows_l1_vjp(ce_back(np.float64(1.0)), p["x"], 1.0, norms, scale)}
 
-    _gradcheck(build, params)
+    _gradcheck_chain(forward, params)
 
 
 def test_gradcheck_cross_entropy_with_ignored_rows():
     rng = Rng(13)
     params = {"z": rng.derive("z").normal(0.0, 2.0, (5, 4))}
     targets = np.array([0, 3, -1, 2, -1])
-    _gradcheck(
-        lambda t, lv: t.softmax_cross_entropy(lv["z"], targets, ignore_id=-1), params
-    )
+
+    def forward(p):
+        loss, ce_back = softmax_cross_entropy(p["z"], targets, ignore_id=-1)
+        return loss, lambda: {"z": ce_back(np.float64(1.0))}
+
+    _gradcheck_chain(forward, params)
 
 
 def test_gradcheck_row_select():
     rng = Rng(14)
     params = {"table": rng.derive("t").normal(0.0, 1.0, (4, 3))}
+    ids = np.array([0, 2, 1, 2])
 
-    def build(t, lv):
-        rows = t.row_select(lv["table"], [0, 2, 1, 2])
-        return t.softmax_cross_entropy(rows, np.array([2, 0, 1, 1]), ignore_id=-1)
+    def forward(p):
+        loss, ce_back = softmax_cross_entropy(p["table"][ids], np.array([2, 0, 1, 1]), ignore_id=-1)
+        return loss, lambda: {"table": rows_grad(p["table"], ids, ce_back(np.float64(1.0)))}
 
-    _gradcheck(build, params)
+    _gradcheck_chain(forward, params)
 
 
 @settings(max_examples=25, deadline=None)
@@ -421,12 +468,18 @@ def test_gradcheck_random_two_layer_models(seed):
     }
     targets = np.tile([0, dims[2] - 1], steps if all_states else 1)
 
-    def build(t, lv):
-        hidden = t.gru_pass(lv["x"], lv["h"], [lv[k] for k in GRU_GATES], mask=mask, all_states=all_states)
-        logits = t.add(t.matmul(hidden, lv["w2"]), lv["b"])
-        return t.softmax_cross_entropy(logits, targets, ignore_id=-1)
+    def forward(p):
+        hidden, gru_back = gru_pass(p["x"], p["h"], [p[k] for k in GRU_GATES], mask=mask, all_states=all_states)
+        loss, ce_back = softmax_cross_entropy(hidden @ p["w2"] + p["b"], targets, ignore_id=-1)
 
-    _gradcheck(build, params)
+        def backward():
+            g = ce_back(np.float64(1.0))
+            dx, dh, dweights = gru_back(g @ p["w2"].T)
+            return {"x": dx, "h": dh, "w2": hidden.T @ g, "b": g.sum(axis=0), **dict(zip(GRU_GATES, dweights))}
+
+        return loss, backward
+
+    _gradcheck_chain(forward, params)
 
 
 # -- Adam ------------------------------------------------------------------------
@@ -463,66 +516,89 @@ def test_adam_validates_keys_and_shapes():
 
 
 def test_finite_difference_check_reports_worst_parameter():
-    params = {"x": np.array([[1.0, 2.0]])}
-    report = finite_difference_check(
-        lambda t, lv: t.softmax_cross_entropy(lv["x"], np.array([1]), ignore_id=-1), params
-    )
+    params = {"x": np.array([[1.0, 2.0]]), "y": np.array([0.5, -0.5])}
+
+    def loss(p):
+        return float(softmax_cross_entropy(p["x"], np.array([1]), ignore_id=-1)[0] + (p["y"] ** 2).sum())
+
+    right = {"x": _ce_grad(params["x"], np.array([1])), "y": 2.0 * params["y"]}
+    report = finite_difference_check(loss, right, params)
     assert report.ok
-    assert report.worst_param in ("", "x")
+    assert report.worst_param in ("", "x", "y")
     assert report.max_rel_error < 1e-4
+    report = finite_difference_check(loss, {**right, "y": params["y"]}, params)
+    assert not report.ok and report.worst_param == "y"
+    assert report.max_rel_error == pytest.approx(0.5)
 
 
 # -- precision follows the inputs ------------------------------------------------------
 
 
-def _graph_of_every_op(dtype) -> tuple[Tape, dict, object]:
-    """Leaves and parameters of ``dtype`` through every tape op, ending in a
-    scalar loss: row_select, both gru_pass forms (masked, all states),
-    clip_rows_l1 with a clipped and an inside row, matmul, both adds and
-    softmax_cross_entropy."""
+def _chain_of_every_pass(dtype) -> tuple[Tape, dict, dict, object]:
+    """Inputs and parameters of ``dtype`` through every training pass, each
+    recorded on a tape with its backward, ending in a scalar loss: a row
+    lookup, both gru_pass forms (masked, all states), clip_rows_l1 with a
+    clipped and an inside row, a dense layer and softmax_cross_entropy.
+    Returns the tape after backward, every forward value, every gradient
+    and the loss."""
     rng = Rng(21)
     x, h0, w = gru_inputs(rng, 3, 2, 3, 4)
-    t = Tape()
-    leaves = {
-        "table": t.leaf(x.astype(dtype)),
-        "h0": t.leaf(h0.astype(dtype)),
-        "out_w": t.leaf(rng.derive("out_w").normal(0.0, 1.0, (4, 5)).astype(dtype)),
-        "out_b": t.leaf(np.zeros(5, dtype=dtype)),
-        **{k: t.leaf(v.astype(dtype)) for k, v in w.items()},
-    }
-    weights = [leaves[k] for k in GRU_GATES]
-    xs = t.row_select(leaves["table"], [5, 0, 3, 3, 1, 2])
-    final = t.gru_pass(xs, leaves["h0"], weights, mask=np.array([[1, 1], [1, 0], [0, 0]], dtype=bool))
-    norms = np.abs(final.value).sum(axis=1)
+    table, h0 = x.astype(dtype), h0.astype(dtype)
+    out_w = rng.derive("out_w").normal(0.0, 1.0, (4, 5)).astype(dtype)
+    out_b = np.zeros(5, dtype=dtype)
+    weights = [w[k].astype(dtype) for k in GRU_GATES]
+    ids = np.array([5, 0, 3, 3, 1, 2])
+    tape, grads = Tape(), {}
+
+    def keep(name, outputs):
+        grads.update({f"{name}.{i}": g for i, g in enumerate(outputs)})
+        return outputs
+
+    final, enc_back = gru_pass(table[ids], h0, weights, mask=np.array([[1, 1], [1, 0], [0, 0]], dtype=bool))
+
+    def encoder(g):
+        dx, dh0, dweights = enc_back(g)
+        keep("encoder", [rows_grad(table, ids, dx), dh0, *dweights])
+
+    tape.record("encoder", encoder)
+    norms = np.abs(final).sum(axis=1)
     assert norms[0] != norms[1]
-    latent = t.clip_rows_l1(final, float(norms.mean()))  # one row clipped, one inside
-    states = t.gru_pass(xs, latent, weights, all_states=True)
-    logits = t.add(t.add(t.matmul(states, leaves["out_w"]), leaves["out_b"]), t.matmul(states, leaves["out_w"]))
-    loss = t.softmax_cross_entropy(logits, np.array([0, 4, 1, -1, 2, 3]), ignore_id=-1)
-    return t, leaves, loss
+    c = float(norms.mean())  # one row clipped, one inside
+    latent, norms, scale = clip_rows_l1(final, c)
+    tape.record("clip", lambda g: keep("clip", [clip_rows_l1_vjp(g, final, c, norms, scale)])[0])
+    states, dec_back = gru_pass(table[ids], latent, weights, all_states=True)
+
+    def decoder(g):
+        dx, dlatent, dweights = dec_back(g)
+        return keep("decoder", [rows_grad(table, ids, dx), dlatent, *dweights])[1]
+
+    tape.record("decoder", decoder)
+    logits = states @ out_w + out_b
+
+    def output(g):
+        return keep("output", [states.T @ g, g.sum(axis=0), g @ out_w.T])[2]
+
+    tape.record("output", output)
+    loss, ce_back = softmax_cross_entropy(logits, np.array([0, 4, 1, -1, 2, 3]), ignore_id=-1)
+    tape.record("cross_entropy", lambda g: keep("cross_entropy", [ce_back(g)])[0])
+    tape.backward(np.ones((), loss.dtype))
+    values = {"rows": table[ids], "final": final, "latent": latent, "states": states, "logits": logits, "loss": loss}
+    return tape, values, grads, loss
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_every_tape_value_and_gradient_keeps_the_input_precision(dtype):
-    t, leaves, loss = _graph_of_every_op(dtype)
-    t.backward(loss)
-    assert [n.name for n in t.nodes] == [
-        "row_select", "gru_pass", "clip_rows_l1", "gru_pass", "matmul", "add", "matmul", "add",
-        "softmax_cross_entropy",
-    ]
-    for node in [*t.nodes, *leaves.values()]:
-        assert node.value.dtype == dtype, node.name
-        assert node.grad is not None and np.asarray(node.grad).dtype == dtype, node.name
+    tape, values, grads, _ = _chain_of_every_pass(dtype)
+    assert [name for name, _ in tape.nodes] == ["encoder", "clip", "decoder", "output", "cross_entropy"]
+    assert len(grads) == 8 + 1 + 8 + 3 + 1
+    for name, array in [*values.items(), *grads.items()]:
+        assert np.asarray(array).dtype == dtype, name
 
 
 def test_float32_tape_matches_float64_to_float32_precision():
-    runs = {}
-    for dtype in (np.float32, np.float64):
-        t, leaves, loss = _graph_of_every_op(dtype)
-        t.backward(loss)
-        runs[dtype] = (float(loss.value), {k: leaf.grad for k, leaf in leaves.items()})
-    (loss32, grads32), (loss64, grads64) = runs[np.float32], runs[np.float64]
-    assert loss32 == pytest.approx(loss64, rel=1e-5)
+    runs = {dtype: _chain_of_every_pass(dtype) for dtype in (np.float32, np.float64)}
+    (_, _, grads32, loss32), (_, _, grads64, loss64) = runs[np.float32], runs[np.float64]
+    assert float(loss32) == pytest.approx(float(loss64), rel=1e-5)
     for k, g in grads64.items():
         np.testing.assert_allclose(grads32[k], g, rtol=1e-3, atol=1e-5, err_msg=k)
 
@@ -551,6 +627,6 @@ def test_shared_math_and_adam_keep_the_input_precision(dtype):
 
 
 def test_other_inputs_become_float64():
-    t = Tape()
+    t = GraphTape()
     for value in ([1, 2], np.array([1, 2], dtype=np.int64), np.array([1.0], dtype=np.float16), 3.0):
         assert t.leaf(value).value.dtype == np.float64
