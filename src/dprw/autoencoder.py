@@ -30,7 +30,7 @@ from .corpus import (
 )
 from .numcore import (
     AdamState, Array, NonFiniteError, Rng, Tape, adam_step, clip_rows_l1, clip_rows_l1_vjp,
-    gru_cell, gru_pass, require_finite, rows_grad, softmax_cross_entropy, split_gru_weights,
+    gru_cell, gru_pass, require_finite, softmax_cross_entropy, split_gru_weights,
 )
 
 __all__ = [
@@ -263,31 +263,47 @@ class Autoencoder:
         """Teacher-forced reconstruction loss for a padded (B, T) batch, and
         the gradient dict that ``tape.backward`` fills.
 
-        Five steps, each recorded with its backward: the encoder pass over
-        the embedded batch, the clip of its final state, which is the
-        latent, the decoder pass from the latent over the inputs, the
-        output layer, and the cross-entropy against the inputs shifted
-        left one step, PAD ignored. Each pass runs over time-major rows.
-        The embedding's gradient is the decoder's scatter plus the
-        encoder's, the order reverse mode adds them in.
+        Every row must hold at least two ids, with PAD only as a suffix.
+        The rows are sorted by length, longest first and stably, so each
+        step of a pass runs only the prefix of rows still in their
+        sentence; the loss, a mean over every real target, does not depend
+        on the row order. Both passes take their input rows from the
+        batch's distinct tokens. Five steps, each recorded with its
+        backward: the encoder pass, which ends each row at its last real
+        token, the clip of its final states, which are the latents, the
+        decoder pass from the latent over the inputs, stepping only rows
+        whose next target is real, the output layer over those steps, and
+        the cross-entropy against their targets. The embedding's gradient
+        is the decoder's plus the encoder's, the order reverse mode adds
+        them in.
         """
         for name, value in params.items():
             require_finite(value, name)
-        steps = np.asarray(batch, dtype=np.int64).T  # (T, B)
+        batch = np.asarray(batch, dtype=np.int64)
         table = params["embedding"]
-        if steps.min() < 0 or steps.max() >= table.shape[0]:
+        if batch.min() < 0 or batch.max() >= table.shape[0]:
             raise ValueError(f"token id out of range for a vocabulary of {table.shape[0]}")
-        enc_ids, dec_ids = steps.reshape(-1), steps[:-1].reshape(-1)
+        real = batch != PAD_ID
+        lengths = real.sum(axis=1)
+        if not np.array_equal(real, np.arange(batch.shape[1]) < lengths[:, None]):
+            raise ValueError("batch rows must hold PAD only as a suffix")
+        if lengths.min() < 2:
+            raise ValueError("every batch row needs at least two ids (SOS and EOS)")
+        order = np.argsort(-lengths, kind="stable")
+        steps = batch[order, : lengths.max()].T  # (T, B), rows longest first
+        active = np.count_nonzero(lengths > np.arange(steps.shape[0])[:, None], axis=1).tolist()
+        uniq, inv = np.unique(steps.reshape(-1), return_inverse=True)
+        x = table[uniq]
         grads: dict[str, Array] = {}
 
         h0 = np.zeros((steps.shape[1], self.config.hidden_dim), dtype=table.dtype)
         enc_names = _gru_names("enc")
-        final, enc_backward = gru_pass(table[enc_ids], h0, [params[k] for k in enc_names], mask=steps != PAD_ID)
+        final, enc_backward = gru_pass(x, inv, h0, [params[k] for k in enc_names], active)
 
         def encoder(g):
             dx, _, dweights = enc_backward(g)
             grads.update(zip(enc_names, dweights))
-            grads["embedding"] = grads["embedding"] + rows_grad(table, enc_ids, dx)
+            grads["embedding"][uniq] += dx
 
         tape.record("encoder", encoder)
 
@@ -296,12 +312,15 @@ class Autoencoder:
         tape.record("clip", lambda g: clip_rows_l1_vjp(g, final, clip_c, norms, scale))
 
         dec_names = _gru_names("dec")
-        states, dec_backward = gru_pass(table[dec_ids], latent, [params[k] for k in dec_names], all_states=True)
+        dec_active = active[1:]  # a row steps while its next target is real
+        dec_weights = [params[k] for k in dec_names]
+        states, dec_backward = gru_pass(x, inv[: -steps.shape[1]], latent, dec_weights, dec_active, all_states=True)
 
         def decoder(g):
             dx, dlatent, dweights = dec_backward(g)
             grads.update(zip(dec_names, dweights))
-            grads["embedding"] = rows_grad(table, dec_ids, dx)
+            grads["embedding"] = np.zeros_like(table)
+            grads["embedding"][uniq] = dx
             return dlatent
 
         tape.record("decoder", decoder)
@@ -318,7 +337,8 @@ class Autoencoder:
 
         tape.record("output", output)
 
-        loss, ce_backward = softmax_cross_entropy(logits, steps[1:].reshape(-1), ignore_id=PAD_ID)
+        targets = np.concatenate([steps[t + 1, :n] for t, n in enumerate(dec_active)])
+        loss, ce_backward = softmax_cross_entropy(logits, targets, ignore_id=PAD_ID)
         tape.record("cross_entropy", ce_backward)
         return loss, grads
 

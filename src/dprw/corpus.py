@@ -14,6 +14,9 @@ from pathlib import Path
 PAD, SOS, EOS, UNK = "<pad>", "<sos>", "<eos>", "<unk>"
 SPECIAL_TOKENS = (PAD, SOS, EOS, UNK)
 PAD_ID, SOS_ID, EOS_ID, UNK_ID = 0, 1, 2, 3
+# Tokens a document may not hold: read as ids, they would end a sentence
+# or pad it in the middle. UNK may appear, since rewritten text carries it.
+CONTROL_TOKENS = frozenset((PAD, SOS, EOS))
 
 TokenIdSequence = list[int]
 
@@ -56,8 +59,16 @@ def tokenize(text: str) -> list[str]:
     return text.lower().split()
 
 
+def _control_token(tokens: list[str]) -> str | None:
+    """The first control token among ``tokens``, or None."""
+    return next((tok for tok in tokens if tok in CONTROL_TOKENS), None)
+
+
 def load_split(path: str | Path) -> list[Document]:
     """Read one split file; malformed lines are reported with their number.
+
+    Text may not hold a control token (``<pad>``, ``<sos>`` or ``<eos>``
+    in any case); ``<unk>`` is allowed.
 
     A leading UTF-8 byte-order mark is dropped, not read into the first label.
     Bytes that are not UTF-8 are decoded as lone surrogates, so the line
@@ -83,6 +94,9 @@ def load_split(path: str | Path) -> list[Document]:
                 raise DatasetFormatError(f"{path}:{lineno}: empty label field")
             if not text.strip():
                 raise DatasetFormatError(f"{path}:{lineno}: empty text field")
+            control = _control_token(tokenize(text))
+            if control is not None:
+                raise DatasetFormatError(f"{path}:{lineno}: text holds the control token {control!r}")
             docs.append(Document(text=text, label=label))
     return docs
 
@@ -135,10 +149,15 @@ def build_vocabulary(train_docs: list[Document]) -> Vocabulary:
 
 
 def encode(doc: Document, vocab: Vocabulary, max_len: int) -> TokenIdSequence:
-    """Token ids truncated to max_len, wrapped in SOS/EOS; OOV becomes UNK."""
+    """Token ids truncated to max_len, wrapped in SOS/EOS; OOV becomes UNK.
+    A document that holds a control token is refused."""
     if max_len < 1:
         raise ValueError("max_len must be at least 1")
-    tokens = tokenize(doc.text)[:max_len]
+    tokens = tokenize(doc.text)
+    control = _control_token(tokens)
+    if control is not None:
+        raise ValueError(f"document text holds the control token {control!r}")
+    tokens = tokens[:max_len]
     return [SOS_ID] + [vocab.token_id(t) for t in tokens] + [EOS_ID]
 
 

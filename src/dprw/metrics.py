@@ -18,7 +18,9 @@ import numpy as np
 
 from .corpus import Document, tokenize
 
-__all__ = ["bleu", "bleu_reference", "bleu_counted", "macro_f1", "unigram_f1", "leak_audit", "LeakReport"]
+__all__ = [
+    "bleu", "bleu_reference", "bleu_counted", "macro_f1", "unigram_f1", "leak_audit", "LeakReport", "PretrainIndex",
+]
 
 
 def _ngram_counts(tokens: Sequence[str], n: int) -> Counter:
@@ -164,10 +166,30 @@ def _multiset_overlaps(r_counts: np.ndarray, p_counts: np.ndarray) -> np.ndarray
     return overlap
 
 
+class PretrainIndex:
+    """A pre-training corpus as the leak audit reads it: a column per
+    distinct token in first-occurrence order, the (documents, columns)
+    count matrix and each document's length. Build it once and pass it to
+    every ``leak_audit`` against that corpus; ``len`` is the number of
+    documents."""
+
+    def __init__(self, docs: Sequence[Document]):
+        tokens = [tokenize(doc.text) for doc in docs]
+        self.columns: dict[str, int] = {}
+        for toks in tokens:
+            for tok in toks:
+                self.columns.setdefault(tok, len(self.columns))
+        self.counts = _count_matrix(tokens, self.columns)
+        self.lengths = np.array([len(t) for t in tokens], dtype=np.float64)
+
+    def __len__(self) -> int:
+        return len(self.lengths)
+
+
 def leak_audit(
     rewritten: Sequence[Document],
     source: Sequence[Document],
-    pretrain_corpus: Sequence[Document],
+    pretrain_corpus: Sequence[Document] | PretrainIndex,
     margin: float = 0.1,
 ) -> LeakReport:
     """Compare each rewrite against its source and the pre-training corpus.
@@ -175,7 +197,8 @@ def leak_audit(
     ``rewritten[i]`` must be the rewrite of ``source[i]``. For each i the
     audit computes s_src = unigram_f1(rewritten[i], source[i]) and the
     maximum s_pre over the pre-training corpus; the document is flagged
-    iff s_pre >= s_src + margin. leak_score is the flagged fraction.
+    iff s_pre >= s_src + margin. leak_score is the flagged fraction. The
+    corpus may be given as its documents or as a ``PretrainIndex``.
 
     All rewrite/pre-training pairs are scored at once from token-count
     matrices (see ``_multiset_overlaps``), with unigram_f1's arithmetic
@@ -187,23 +210,14 @@ def leak_audit(
         raise ValueError(
             f"misaligned inputs: {len(rewritten)} rewritten vs {len(source)} source"
         )
+    pretrain = pretrain_corpus if isinstance(pretrain_corpus, PretrainIndex) else PretrainIndex(pretrain_corpus)
     rewrite_tokens = [tokenize(doc.text) for doc in rewritten]
-    pretrain_tokens = [tokenize(doc.text) for doc in pretrain_corpus]
-    index: dict[str, int] = {}
-    for toks in pretrain_tokens:
-        for tok in toks:
-            index.setdefault(tok, len(index))
-    overlap = _multiset_overlaps(
-        _count_matrix(rewrite_tokens, index), _count_matrix(pretrain_tokens, index)
-    )
-    denom = np.add.outer(
-        np.array([len(t) for t in rewrite_tokens], dtype=np.float64),
-        np.array([len(t) for t in pretrain_tokens], dtype=np.float64),
-    )
+    overlap = _multiset_overlaps(_count_matrix(rewrite_tokens, pretrain.columns), pretrain.counts)
+    denom = np.add.outer(np.array([len(t) for t in rewrite_tokens], dtype=np.float64), pretrain.lengths)
     # Column 0 is a 0.0 sentinel: argmax takes the first maximum, so a row
     # with no positive similarity picks it and reports nearest -1, s_pre 0.0.
     # Both documents empty scores 1.0; one empty has overlap 0 and scores 0.0.
-    sim = np.ones((len(rewritten), len(pretrain_corpus) + 1))
+    sim = np.ones((len(rewritten), len(pretrain) + 1))
     sim[:, 0] = 0.0
     np.divide(2.0 * overlap, denom, out=sim[:, 1:], where=denom > 0)
     nearest = sim.argmax(axis=1)

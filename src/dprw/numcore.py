@@ -10,9 +10,12 @@ inference, the privacy mechanism and the checkpoint blobs (``<f8``) are
 float64. A training pass (``gru_pass``, ``softmax_cross_entropy``)
 returns its value and a ``backward`` function; the autoencoder records
 the five backward steps of its loss on a ``Tape`` and runs them in
-reverse. The passes validate shapes and reject non-finite results, so a
-diverging training run fails at the pass that produced the bad value
-instead of corrupting downstream state.
+reverse. ``gru_pass`` trains the way inference runs: it projects each
+distinct input row once, as the inference tables do, and packs its
+steps, running each on the prefix of rows, sorted by length, that is
+still in its sentence. The passes validate shapes and reject non-finite
+results, so a diverging training run fails at the pass that produced the
+bad value instead of corrupting downstream state.
 """
 
 from __future__ import annotations
@@ -116,17 +119,15 @@ class Rng:
 
 
 def sigmoid(x: Array, out: Array | None = None) -> Array:
-    """Logistic function: 1 / (1 + e) where x >= 0, else e / (1 + e), with
-    e = exp(-|x|), so exp never overflows. max(e, x >= 0) picks the
-    numerator, since e <= 1. ``out``, which may be ``x``, takes the result."""
-    pos = x >= 0
-    e = np.abs(x, out=out)
-    np.negative(e, out=e)
-    np.exp(e, out=e)
-    denom = e + 1.0
-    np.maximum(e, pos, out=e)
-    e /= denom
-    return e
+    """Logistic function as 0.5 + 0.5 tanh(x / 2), four passes; tanh
+    saturates instead of overflowing, so every input, infinities
+    included, gives a finite value in [0, 1]. ``out``, which may be ``x``,
+    takes the result."""
+    y = np.multiply(x, 0.5, out=out)
+    np.tanh(y, out=y)
+    y *= 0.5
+    y += 0.5
+    return y
 
 
 def split_gru_weights(weights: Sequence[Array]) -> tuple[Array, Array, tuple[Array, Array]]:
@@ -143,55 +144,57 @@ def split_gru_weights(weights: Sequence[Array]) -> tuple[Array, Array, tuple[Arr
     return wx, np.concatenate([bz, br, bh]), (u_zr, wh[e:])
 
 
-def gru_cell(xp: Array, h: Array, u: tuple[Array, Array]) -> tuple[Array, tuple]:
+def gru_cell(xp: Array, h: Array, u: tuple[Array, Array], out: Array | None = None) -> tuple[Array, tuple]:
     """One GRU step (Cho et al. 2014) over a batch of rows, hidden side only.
 
     ``xp`` is the step's input projection x wx + b and ``u`` = (u_zr, u_h)
     the hidden rows (``split_gru_weights``), with the z, r and candidate
     blocks side by side: [z, r] = sigmoid(xp[:, :2H] + h u_zr),
-    cand = tanh(xp[:, 2H:] + (r * h) u_h), h' = (1 - z) * h + z * cand.
-    Returns h' and the intermediates ``gru_cell_vjp`` needs.
+    cand = tanh(xp[:, 2H:] + (r * h) u_h), h' = h + z * (cand - h).
+    Returns h', written into ``out`` when given (not ``h``), and the
+    intermediates ``gru_cell_vjp`` needs.
     """
     u_zr, u_h = u
     hd = h.shape[1]
     zr = h @ u_zr
     zr += xp[:, : 2 * hd]
     sigmoid(zr, out=zr)
-    z = zr[:, :hd]
     rh = zr[:, hd:] * h
     cand = rh @ u_h
     cand += xp[:, 2 * hd :]
     np.tanh(cand, out=cand)
-    h_new = 1.0 - z
-    h_new *= h
-    h_new += z * cand
+    h_new = np.subtract(cand, h, out=out)
+    h_new *= zr[:, :hd]
+    h_new += h
     return h_new, (zr, rh, cand)
 
 
-def gru_cell_vjp(g: Array, h: Array, u_zr: Array, u_h: Array, cache: tuple, da: Array) -> Array:
-    """Backward of one ``gru_cell`` step for output gradient ``g``; ``u_zr``
-    and ``u_h`` are the forward's hidden rows, so the z and r terms of dh
-    are one GEMM.
+def gru_cell_vjp(g: Array, h: Array, u_t: tuple[Array, Array], cache: tuple, da: Array) -> Array:
+    """Backward of one ``gru_cell`` step for output gradient ``g``; ``u_t``
+    holds the forward's hidden rows transposed, (u_zr.T, u_h.T), as
+    contiguous copies, so the z and r terms of dh are one GEMM.
 
     Writes the gradient at the step's pre-activations, which is also the
     gradient of its input projection, into ``da`` (B, 3H) and returns the
     gradient of ``h``. The weight gradients are sums over steps of outer
     products with ``da``, left to the caller."""
+    u_zr_t, u_h_t = u_t
     zr, rh, cand = cache
     hd = h.shape[1]
-    z, r = zr[:, :hd], zr[:, hd:]
+    gz = g * zr[:, :hd]
     da_zr, da_h = da[:, : 2 * hd], da[:, 2 * hd :]
-    np.multiply(g, z, out=da_h)
-    da_h *= 1.0 - cand * cand
-    d_rh = da_h @ u_h.T
+    np.multiply(cand, cand, out=da_h)
+    np.subtract(1.0, da_h, out=da_h)
+    da_h *= gz
+    d_rh = da_h @ u_h_t
     np.subtract(cand, h, out=da_zr[:, :hd])
     da_zr[:, :hd] *= g
     np.multiply(d_rh, h, out=da_zr[:, hd:])
     da_zr *= zr * (1.0 - zr)  # sigmoid' = s (1 - s), z and r at once
-    dh = 1.0 - z
-    dh *= g
-    dh += d_rh * r
-    dh += da_zr @ u_zr.T
+    dh = g - gz
+    d_rh *= zr[:, hd:]
+    dh += d_rh
+    dh += da_zr @ u_zr_t
     return dh
 
 
@@ -226,15 +229,6 @@ def clip_rows_l1(x: Array, c: float) -> tuple[Array, Array, Array]:
 # Training passes and their backward
 
 
-def rows_grad(table: Array, ids: Array, g: Array) -> Array:
-    """Gradient of the lookup ``table[ids]`` for output gradient ``g``: a
-    zero table with each row of ``g`` added at its id, duplicate ids
-    summed in order (``np.add.at``)."""
-    out = np.zeros_like(table)
-    np.add.at(out, ids, g)
-    return out
-
-
 def clip_rows_l1_vjp(g: Array, x: Array, c: float, norms: Array, scale: Array) -> Array:
     """Backward of ``clip_rows_l1(x, c)``, given the norms and scale it
     returned: ``g`` times the scale, and on clipped rows a rank-one
@@ -248,71 +242,88 @@ def clip_rows_l1_vjp(g: Array, x: Array, c: float, norms: Array, scale: Array) -
 
 
 def gru_pass(
-    x: Array, h0: Array, weights: Sequence[Array], mask=None, all_states: bool = False
+    x: Array, inv: Array, h0: Array, weights: Sequence[Array], active: Sequence[int], all_states: bool = False
 ) -> tuple[Array, Callable]:
-    """A GRU run over T steps, and its backward.
+    """A GRU run over T steps of rows sorted by length, and its backward.
 
-    ``x`` holds every step's input, time-major (T * B, E); ``h0`` is the
-    (B, H) initial state and ``weights`` the (wz, bz, wr, br, wh, bh)
-    arrays. One GEMM projects all T * B inputs, then ``gru_cell`` runs
-    the hidden side step by step. Where the constant (T, B) ``mask`` is
-    False a row keeps its state (padding). The value is the final state,
-    or with ``all_states`` every step's state, time-major (T * B, H);
-    every state is checked for non-finite values either way.
+    ``x`` holds the U distinct input rows (U, E) and ``inv`` (T * B,) the
+    row of ``x`` each step takes, time-major; ``h0`` is the (B, H) initial
+    state and ``weights`` the (wz, bz, wr, br, wh, bh) arrays. ``active``
+    gives, per step, how many rows are still in their sentence: B at the
+    first step and never more later, so the rows still going are always
+    a prefix, and step t runs ``gru_cell`` on rows [:active[t]] only. One
+    GEMM projects the U distinct rows, and each step gathers its rows of
+    that projection. The value is each row's state after its last step,
+    or with ``all_states`` every active row's state, packed time-major
+    (sum(active), H); every state is checked for non-finite values.
 
     ``backward(g)``, for the value's gradient ``g``, goes back through the
-    steps with ``gru_cell_vjp``, then takes one GEMM each for the
-    input-side and both hidden-side weight gradients and for dx, over all
-    T * B rows. It returns (dx, dh0, [dwz, dbz, dwr, dbr, dwh, dbh]).
+    steps with ``gru_cell_vjp``; rows past their last step hold a zero
+    gradient, so one GEMM over all T * B rows gives each hidden-side
+    weight gradient. A one-hot (U, T * B) GEMM sums the step gradients per
+    distinct row, which then gives the input-side weight gradient and dx
+    (U, E). It returns (dx, dh0, [dwz, dbz, dwr, dbr, dwh, dbh]).
     """
-    if x.ndim != 2 or h0.ndim != 2 or x.shape[0] % h0.shape[0]:
-        raise ValueError(f"gru_pass expects (T*B, E) and (B, H) inputs, got {x.shape}, {h0.shape}")
+    if x.ndim != 2 or h0.ndim != 2 or inv.ndim != 1 or inv.shape[0] % h0.shape[0]:
+        raise ValueError(
+            f"gru_pass expects (U, E), (T*B,) and (B, H) inputs, got {x.shape}, {inv.shape}, {h0.shape}"
+        )
     (b, hd), e = h0.shape, x.shape[1]
-    steps = x.shape[0] // b
+    steps = inv.shape[0] // b
     if [w.shape for w in weights] != [(e + hd, hd), (hd,)] * 3:
         raise ValueError("gru_pass weight shapes do not match the inputs")
-    if mask is not None:
-        mask = np.asarray(mask, dtype=bool)
-        if mask.shape != (steps, b):
-            raise ValueError(f"gru_pass mask must be (T, B) = {(steps, b)}, got {mask.shape}")
+    active = [int(n) for n in active]
+    if not steps or len(active) != steps or active[0] != b or sorted(active, reverse=True) != active or active[-1] < 0:
+        raise ValueError(f"gru_pass active counts must be {steps} non-increasing values from B = {b}, got {active}")
     wx, bias, u = split_gru_weights(weights)
-    xp = x @ wx
-    xp += bias
-    xp = xp.reshape(steps, b, 3 * hd)
-    hs = np.empty((steps + 1, b, hd), dtype=xp.dtype)  # hs[t] enters step t
+    proj = x @ wx
+    proj += bias
+    inv_steps = inv.reshape(steps, b)
+    # hs[t] enters step t, rhs[t] is its r * h; rows past their end stay 0
+    hs = np.zeros((steps + 1, b, hd), dtype=proj.dtype)
     hs[0] = h0
+    rhs = np.zeros((steps, b, hd), dtype=proj.dtype)
     caches = []
-    for t in range(steps):
-        h_new, cache = gru_cell(xp[t], hs[t], u)
-        hs[t + 1] = h_new if mask is None else np.where(mask[t][:, None], h_new, hs[t])
-        caches.append(cache)
+    for t, n in enumerate(active):
+        zr, rh, cand = gru_cell(proj[inv_steps[t, :n]], hs[t, :n], u, out=hs[t + 1, :n])[1]
+        rhs[t, :n] = rh
+        caches.append((zr, rhs[t, :n], cand))
     require_finite(hs[1:], "gru_pass")
+    live = np.arange(b) < np.array(active)[:, None]  # (T, B), True where a row takes the step
+    value = hs[1:][live] if all_states else hs[live.sum(axis=0), np.arange(b)]
+
+    # The backward's buffers are made here, with the forward's: made in
+    # backward, after the steps' many small arrays, they left the heap's
+    # top free at every batch's end, and glibc returned and refetched it
+    # (5 to 10 times the minor page faults of a pre-train).
+    u_t = tuple(np.ascontiguousarray(w.T) for w in u)
+    da = np.zeros((steps, b, 3 * hd), dtype=hs.dtype)
 
     def backward(g):
-        u_zr, u_h = u
-        g_steps = g.reshape(steps, b, hd) if all_states else None
-        da = np.empty((steps, b, 3 * hd), dtype=hs.dtype)
-        dh = np.zeros((b, hd), dtype=hs.dtype) if all_states else g
+        offsets = np.cumsum([0] + active)
+        dh = g[:0]  # the gradients of rows [:len(dh)] at the step's output
         for t in reversed(range(steps)):
+            n, m = active[t], len(dh)
+            g_t = g[offsets[t] : offsets[t + 1]] if all_states else g
             if all_states:
-                dh = dh + g_steps[t]
-            if mask is None:
-                dh = gru_cell_vjp(dh, hs[t], u_zr, u_h, caches[t], da[t])
-            else:
-                keep = mask[t][:, None]
-                dh = gru_cell_vjp(dh * keep, hs[t], u_zr, u_h, caches[t], da[t]) + dh * ~keep
-        da = da.reshape(steps * b, 3 * hd)
-        dwx = x.T @ da
-        db = da.sum(axis=0)
-        du_zr = hs[:-1].reshape(steps * b, hd).T @ da[:, : 2 * hd]
-        du_h = np.concatenate([c[1] for c in caches]).T @ da[:, 2 * hd :]
+                dh += g_t[:m]
+            if n > m:  # rows whose last step is t
+                dh = np.concatenate([dh, g_t[m:n]])
+            dh = gru_cell_vjp(dh, hs[t, :n], u_t, caches[t], da[t, :n])
+        da_rows = da.reshape(steps * b, 3 * hd)
+        onehot = np.equal.outer(np.arange(x.shape[0]), inv).astype(hs.dtype)
+        dproj = onehot @ da_rows
+        dwx = x.T @ dproj
+        db = dproj.sum(axis=0)
+        du_zr = hs[:-1].reshape(steps * b, hd).T @ da_rows[:, : 2 * hd]
+        du_h = rhs.reshape(steps * b, hd).T @ da_rows[:, 2 * hd :]
         dweights = []
         for k, du in enumerate((du_zr[:, :hd], du_zr[:, hd:], du_h)):
             cols = slice(k * hd, (k + 1) * hd)
             dweights.extend([np.concatenate([dwx[:, cols], du]), db[cols]])
-        return da @ wx.T, dh, dweights
+        return dproj @ wx.T, dh, dweights
 
-    return (hs[1:].reshape(steps * b, hd) if all_states else hs[-1]), backward
+    return value, backward
 
 
 def softmax_cross_entropy(z: Array, targets, ignore_id: int) -> tuple[Array, Callable]:

@@ -49,7 +49,7 @@ from .downstream import (
     random_baseline,
     train_classifier,
 )
-from .metrics import bleu_counted, bleu_reference, leak_audit, macro_f1
+from .metrics import PretrainIndex, bleu_counted, bleu_reference, leak_audit, macro_f1
 from .numcore import Rng
 
 __all__ = [
@@ -498,12 +498,13 @@ def _case_unit(payload) -> dict:
     privatizes and decodes the same latents (one decode call per
     epsilon and split, since decoded rows are only bitwise stable at a
     fixed batch). Each source document is tokenized and its n-grams
-    counted once for BLEU. The reconstruction BLEU is the (own corpus,
+    counted once for BLEU, and the pre-training corpus is indexed once
+    for the leak audits. The reconstruction BLEU is the (own corpus,
     epsilon = inf) bleu_vs_source: at epsilon = inf no noise is drawn,
     so that rewrite is exactly ``_reconstruction_bleu``'s.
     """
     pretrain_name, datasets, ae_config, clf_config, leak_margin, seed, keep_docs = payload
-    pretrain_docs = datasets[pretrain_name].train
+    pretrain_index = PretrainIndex(datasets[pretrain_name].train)
     ckpt = pretrain(datasets[pretrain_name], ae_config, seed)
     model = Autoencoder.from_checkpoint(ckpt)
     out = {
@@ -523,7 +524,7 @@ def _case_unit(payload) -> dict:
                 _privatize_and_decode(model, docs, latents[name], privacy, seed, name) if docs else []
                 for name, docs in splits.items()
             )
-            audit = leak_audit(train_rw, target.train, pretrain_docs, margin=leak_margin)
+            audit = leak_audit(train_rw, target.train, pretrain_index, margin=leak_margin)
             rewritten = replace(target, train=train_rw, validation=val_rw)
             _, f1 = _downstream_unit((rewritten, clf_config, seed))
             key = (rewrite_name, epsilon_repr(eps))

@@ -14,11 +14,15 @@ The graph tape is the general reverse-mode tape the autoencoder trained
 with before its loss was written out as five backward steps: a node per
 op value, a VJP per parent, gradients accumulated across consumers in
 reverse creation order, and ops for matmul, add, row lookup, the l1
-clip, a whole GRU pass and the cross-entropy. It calls the package's
-``split_gru_weights``, ``gru_cell``, ``gru_cell_vjp``, ``clip_rows_l1``
-and ``softmax``; the rest of its arithmetic, the reverse pass included,
-is its own, and the package's ``build_loss`` must match it bit for bit. The finite-difference check compares any gradient
-dict with central differences of a loss function.
+clip, a whole GRU pass (every row at every step, PAD rows frozen by a
+mask) and the cross-entropy. It calls the package's
+``split_gru_weights``, ``gru_cell``, ``clip_rows_l1`` and ``softmax``;
+the rest of its arithmetic, the reverse pass and the cell's backward
+(``gru_cell_vjp``, the package's before its cell took fewer passes)
+included, is its own. The package's ``build_loss``, which sorts, packs
+and projects distinct tokens, must match it to rounding in float64. The
+finite-difference check compares any gradient dict with central
+differences of a loss function.
 
 The GRU oracle is the autoencoder's original per-step path: a cell over
 the concatenated [x, h] with its single-step backward, one graph-tape
@@ -73,7 +77,6 @@ from dprw.numcore import (
     Tape,
     clip_rows_l1,
     gru_cell,
-    gru_cell_vjp,
     require_finite,
     sigmoid,
     softmax,
@@ -284,6 +287,29 @@ def as_float(x) -> np.ndarray:
     """A float32 or float64 ndarray as it is; anything else as float64."""
     x = np.asarray(x)
     return x if x.dtype in (np.float32, np.float64) else x.astype(np.float64)
+
+
+def gru_cell_vjp(g: Array, h: Array, u_zr: Array, u_h: Array, cache: tuple, da: Array) -> Array:
+    """Backward of one ``gru_cell`` step as the package wrote it before its
+    cell took fewer passes: ``u_zr`` and ``u_h`` untransposed, dh formed
+    from 1 - z. Writes the pre-activation gradient into ``da`` (B, 3H) and
+    returns the gradient of ``h``."""
+    zr, rh, cand = cache
+    hd = h.shape[1]
+    z, r = zr[:, :hd], zr[:, hd:]
+    da_zr, da_h = da[:, : 2 * hd], da[:, 2 * hd :]
+    np.multiply(g, z, out=da_h)
+    da_h *= 1.0 - cand * cand
+    d_rh = da_h @ u_h.T
+    np.subtract(cand, h, out=da_zr[:, :hd])
+    da_zr[:, :hd] *= g
+    np.multiply(d_rh, h, out=da_zr[:, hd:])
+    da_zr *= zr * (1.0 - zr)  # sigmoid' = s (1 - s), z and r at once
+    dh = 1.0 - z
+    dh *= g
+    dh += d_rh * r
+    dh += da_zr @ u_zr.T
+    return dh
 
 
 @dataclass

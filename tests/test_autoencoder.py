@@ -137,14 +137,18 @@ def test_tape_and_numpy_gru_agree():
     model = tiny_model()
     batch = doc_batch(model)
     h_np = model.encode_batch(batch)
-    # training side: build_loss's encoder pass
+    # training side: build_loss's encoder pass, rows sorted longest first
     p = model.parameters
-    steps = batch.T
+    lengths = (batch != PAD_ID).sum(axis=1)
+    order = np.argsort(-lengths, kind="stable")
+    steps = batch[order].T
+    uniq, inv = np.unique(steps.reshape(-1), return_inverse=True)
     h0 = np.zeros((batch.shape[0], model.config.hidden_dim))
     weights = [p[f"enc_{k}"] for k in ("wz", "bz", "wr", "br", "wh", "bh")]
-    h, _ = gru_pass(p["embedding"][steps.reshape(-1)], h0, weights, mask=steps != PAD_ID)
+    active = [int((lengths > t).sum()) for t in range(steps.shape[0])]
+    h, _ = gru_pass(p["embedding"][uniq], inv, h0, weights, active)
     # one GRU cell; the input projections are rows of different GEMMs
-    np.testing.assert_allclose(h, h_np, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(h, h_np[order], rtol=0, atol=1e-15)
 
 
 # -- the per-step oracle -----------------------------------------------------------
@@ -196,36 +200,38 @@ def test_build_loss_matches_the_per_step_oracle(b, t_len, clip_c, seed):
 
 @settings(max_examples=80, deadline=None)
 @given(
-    b=st.integers(1, 5),
-    t_len=st.integers(2, 6),
+    b=st.integers(1, 32),
+    t_len=st.integers(2, 7),
     regime=st.sampled_from(["inside", "outside", "both"]),
-    dtype=st.sampled_from([np.float32, np.float64]),
     seed=st.integers(0, 10_000),
 )
-@example(b=3, t_len=5, regime="both", dtype=np.float32, seed=0)
-@example(b=3, t_len=5, regime="both", dtype=np.float64, seed=1)
-def test_build_loss_and_backward_equal_the_graph_tape_bit_for_bit(b, t_len, regime, dtype, seed):
-    # the latent rows sit inside the clip ball, outside it, or one of each
+@example(b=3, t_len=5, regime="both", seed=0)
+@example(b=32, t_len=7, regime="both", seed=1)
+@example(b=1, t_len=2, regime="outside", seed=2)
+def test_build_loss_and_backward_equal_the_graph_tape_in_float64(b, t_len, regime, seed):
+    # ragged rows in any order; the latent rows sit inside the clip ball,
+    # outside it, or on both sides. The package packs and sorts its rows,
+    # so the sums run in another order: equal to rounding, not bit for bit.
     rng = Rng(seed)
     model = oracle_model(9, 3, 4, 1.0, seed)
     ids = rng.derive("ids").integers(1, 9, size=(b, t_len))
     lengths = rng.derive("len").integers(2, t_len + 1, size=b)
-    lengths[0] = 2  # PAD from step 2 on
     ids[np.arange(t_len)[None, :] >= lengths[:, None]] = PAD_ID
     norms = np.sort(np.abs(model.encode_batch(ids)).sum(axis=1))
     assume(regime != "both" or norms[-1] > 1.1 * norms[0])
     clip_c = {"inside": 2.0 * norms[-1], "outside": 0.5 * norms[0], "both": 0.5 * (norms[0] + norms[-1])}[regime]
     model = Autoencoder(replace(model.config, clip_c=float(clip_c)), model.vocabulary, model.parameters)
-    params = {k: v.astype(dtype) for k, v in model.parameters.items()}
 
-    loss, grads = build_loss_and_grads(model, params, ids)
-    expected_loss, expected = graph_loss_and_grads(lambda tape, leaves: build_loss_graph(model, tape, leaves, ids), params)
-    assert loss.dtype == expected_loss.dtype == dtype
-    assert np.asarray(loss).tobytes() == expected_loss.tobytes()
-    assert set(grads) == set(expected) == set(params)
+    loss, grads = build_loss_and_grads(model, model.parameters, ids)
+    expected_loss, expected = graph_loss_and_grads(
+        lambda tape, leaves: build_loss_graph(model, tape, leaves, ids), model.parameters
+    )
+    assert loss.dtype == expected_loss.dtype == np.float64
+    assert math.isclose(float(loss), float(expected_loss), rel_tol=1e-12)
+    assert set(grads) == set(expected) == set(model.parameters)
     for name, grad in expected.items():
-        assert grads[name].dtype == grad.dtype == dtype, name
-        assert grads[name].tobytes() == grad.tobytes(), name
+        assert grads[name].dtype == np.float64, name
+        assert_close(grads[name], grad)
 
 
 def test_build_loss_is_one_node_per_pass():
@@ -249,6 +255,24 @@ def test_build_loss_checks_parameters_and_ids():
     params["out_w"][1, 2] = np.nan
     with pytest.raises(NonFiniteError, match="'out_w'"):
         model.build_loss(Tape(), params, batch)
+
+
+def test_build_loss_refuses_pad_inside_a_row_and_rows_shorter_than_two():
+    model = tiny_model()
+    batch = doc_batch(model)
+    holed = batch.copy()
+    holed[0, 1] = PAD_ID  # PAD before the row's real ids end
+    with pytest.raises(ValueError, match="PAD only as a suffix"):
+        model.build_loss(Tape(), model.parameters, holed)
+    leading = np.concatenate([np.full((batch.shape[0], 1), PAD_ID), batch[:, :-1]], axis=1)
+    with pytest.raises(ValueError, match="PAD only as a suffix"):
+        model.build_loss(Tape(), model.parameters, leading)
+    short = batch.copy()
+    short[1, 1:] = PAD_ID  # one id left in row 1
+    with pytest.raises(ValueError, match="at least two ids"):
+        model.build_loss(Tape(), model.parameters, short)
+    with pytest.raises(ValueError, match="at least two ids"):
+        model.build_loss(Tape(), model.parameters, np.full_like(batch, PAD_ID))
 
 
 @pytest.fixture(scope="module")

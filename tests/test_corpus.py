@@ -210,3 +210,31 @@ def test_a_carriage_return_inside_a_record_is_refused_naming_its_line(tmp_path, 
         DatasetFormatError, match=rf"^{re.escape(str(path))}:{lineno}: carriage return inside a record$"
     ):
         load_split(path)
+
+
+@pytest.mark.parametrize("token", ["<pad>", "<sos>", "<eos>", "<EOS>"])
+def test_load_split_refuses_a_control_token_naming_file_line_and_token(tmp_path, token):
+    path = tmp_path / "control.tsv"
+    path.write_text(f"a\tbook a flight\nb\tshow {token} fares\n", encoding="utf-8")
+    with pytest.raises(
+        DatasetFormatError,
+        match=rf"^{re.escape(str(path))}:2: text holds the control token {re.escape(repr(token.lower()))}$",
+    ):
+        load_split(path)
+
+
+def test_load_split_and_encode_accept_the_unknown_token(tmp_path):
+    path = tmp_path / "unk.tsv"
+    path.write_text(f"a\tshow {UNK} fares\n", encoding="utf-8")
+    docs = load_split(path)
+    vocab = build_vocabulary([Document("show fares", "a")])
+    assert encode(docs[0], vocab, max_len=5) == [SOS_ID, 4, UNK_ID, 5, EOS_ID]
+
+
+@pytest.mark.parametrize("token", ["<pad>", "<sos>", "<eos>"])
+def test_encode_refuses_an_in_memory_document_with_a_control_token(token):
+    vocab = build_vocabulary([Document("show fares", "a")])
+    with pytest.raises(ValueError, match=f"control token {re.escape(repr(token))}"):
+        encode(Document(f"show {token} fares", "a"), vocab, max_len=5)
+    with pytest.raises(ValueError, match="control token"):  # also past the truncation
+        encode(Document(f"show fares {token}", "a"), vocab, max_len=1)

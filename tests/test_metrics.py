@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dprw.corpus import Document
-from dprw.metrics import bleu, bleu_counted, bleu_reference, leak_audit, macro_f1, unigram_f1
+from dprw.metrics import PretrainIndex, bleu, bleu_counted, bleu_reference, leak_audit, macro_f1, unigram_f1
 
 from oracles import (
     CURATED_BLEU_PAIRS,
@@ -203,6 +203,18 @@ class TestLeakAudit:
         report = leak_audit(rewritten, source, pretrain)
         assert report.leak_score == 0.5
         assert report.flagged == [True, True, False, False]
+
+    def test_a_pretrain_index_gives_the_documents_report(self):
+        source = _docs(["book a flight", "cancel my trip", "show fare rules", ""])
+        pretrain = _docs(["play some music", "dim the lights", "book a a flight", "", "show show rules"])
+        rewritten = _docs(["book my flight", "play music", "", "show rules show"])
+        index = PretrainIndex(pretrain)
+        assert len(index) == len(pretrain)
+        for margin in (0.0, 0.1):
+            _assert_same_report(
+                leak_audit(rewritten, source, index, margin=margin),
+                leak_audit(rewritten, source, pretrain, margin=margin),
+            )
 
     def test_misaligned_rejected(self):
         with pytest.raises(ValueError):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import expit
 from oracles import GraphTape, finite_difference_check, graph_loss_and_grads
 
 import dprw.numcore
@@ -18,7 +19,6 @@ from dprw.numcore import (
     clip_rows_l1_vjp,
     gru_cell,
     gru_pass,
-    rows_grad,
     sigmoid,
     softmax_cross_entropy,
     split_gru_weights,
@@ -152,6 +152,17 @@ def test_sigmoid_is_stable_for_large_inputs():
     np.testing.assert_allclose(out, [0.0, 1.0 / (1.0 + np.e), 0.5, 1.0 / (1.0 + np.exp(-1.0)), 1.0])
 
 
+@pytest.mark.parametrize("dtype, tol", [(np.float32, 1e-7), (np.float64, 1e-15)])
+def test_sigmoid_is_finite_and_within_rounding_of_expit(dtype, tol):
+    x = np.concatenate([[-np.inf, -1e4, 1e4, np.inf, 0.0], np.linspace(-60.0, 60.0, 4801)]).astype(dtype)
+    with np.errstate(all="raise"):
+        out = sigmoid(x)
+    assert out.dtype == dtype and np.all(np.isfinite(out))
+    assert np.all((out >= 0.0) & (out <= 1.0))
+    np.testing.assert_array_equal(out[:5], [0.0, 0.0, 1.0, 1.0, 0.5])
+    assert np.abs(out.astype(np.float64) - expit(x.astype(np.float64))).max() <= tol
+
+
 def test_row_select_gathers_rows():
     t = GraphTape()
     table = t.leaf(np.arange(6.0).reshape(3, 2))
@@ -255,12 +266,15 @@ def test_row_select_gradient_accumulates_duplicate_ids():
     table = np.array([[0.0, 1.0], [2.0, -1.0], [0.5, 0.5]])
     targets, ids = np.array([0, 1, 1]), np.array([1, 1, 2])
     g = _ce_grad(table[ids], targets)
-    grad = rows_grad(table, ids, g)
-    np.testing.assert_array_equal(grad, [[0.0, 0.0], g[0] + g[1], g[2]])
     t = GraphTape()
     leaf = t.leaf(table)
     t.backward(t.softmax_cross_entropy(t.row_select(leaf, ids), targets, ignore_id=-1))
-    assert grad.tobytes() == leaf.grad.tobytes()
+    np.testing.assert_array_equal(leaf.grad, [[0.0, 0.0], g[0] + g[1], g[2]])
+    # a pass sums its step gradients per distinct row: one GEMM with a one-hot matrix
+    x, h0, w = gru_inputs(Rng(17), 2, 2, 2, 3)
+    states, backward = gru_pass(x[:3], ids[[0, 1, 2, 1]], h0, [w[k] for k in GRU_GATES], [2, 2], all_states=True)
+    dx = backward(np.ones_like(states))[0]
+    assert dx.shape == (3, 2) and not dx[0].any() and dx[1].any() and dx[2].any()
 
 
 def _gradcheck(loss, grads, params, rtol=1e-4):
@@ -309,21 +323,27 @@ def gru_inputs(rng: Rng, steps: int, b: int, e: int, h: int):
     return x, h0, gru_params(rng, e, h)
 
 
+def active_counts(lengths, steps: int) -> list[int]:
+    """Rows still in their sentence at each step, for lengths sorted longest first."""
+    return [int(np.sum(np.asarray(lengths) > t)) for t in range(steps)]
+
+
 def test_gru_pass_forward_is_gru_cell():
     rng = Rng(15)
     x, h0, w = gru_inputs(rng, 3, 2, 3, 4)
-    mask = np.array([[True, True], [True, False], [False, False]])
+    inv = np.arange(6)
+    active = [2, 1, 0]  # row 0 takes two steps, row 1 one
     wx, bias, u = split_gru_weights([w[k] for k in GRU_GATES])
     xp = x @ wx
     xp += bias
     xp = xp.reshape(3, 2, 12)
-    h, states = h0, []
-    for step in range(3):
-        h = np.where(mask[step][:, None], gru_cell(xp[step], h, u)[0], h)
-        states.append(h)
-    np.testing.assert_array_equal(states[2][1], states[0][1])  # PAD rows keep their state
+    h, states = h0.copy(), []
+    for step, n in enumerate(active):
+        h[:n] = gru_cell(xp[step, :n], h[:n], u)[0]
+        states.append(h[:n].copy())
+    np.testing.assert_array_equal(h[1], gru_cell(xp[0, 1:], h0[1:], u)[0][0])  # a finished row keeps its state
     for all_states, expected in ((False, h), (True, np.concatenate(states))):
-        out, _ = gru_pass(x, h0, [w[k] for k in GRU_GATES], mask=mask, all_states=all_states)
+        out, _ = gru_pass(x, inv, h0, [w[k] for k in GRU_GATES], active, all_states=all_states)
         assert out.tobytes() == expected.tobytes()
 
 
@@ -331,22 +351,26 @@ def test_gru_pass_checks_shapes():
     rng = Rng(15)
     x, h0, w = gru_inputs(rng, 3, 2, 3, 4)
     weights = [w[k] for k in GRU_GATES]
+    inv = np.arange(6)
     with pytest.raises(ValueError):
-        gru_pass(x[:5], h0, weights)
+        gru_pass(x, inv[:5], h0, weights, [2, 2, 2])
     with pytest.raises(ValueError):
-        gru_pass(h0, h0, weights)
+        gru_pass(x, inv.reshape(3, 2), h0, weights, [2, 2, 2])
     with pytest.raises(ValueError):
-        gru_pass(x, h0, weights, mask=np.ones((2, 2), dtype=bool))
+        gru_pass(x[0], inv, h0, weights, [2, 2, 2])
     with pytest.raises(ValueError):
-        gru_pass(x, h0, weights[:-1] + [np.zeros(5)])
+        gru_pass(x, inv, h0, weights[:-1] + [np.zeros(5)], [2, 2, 2])
+    for active in ([2, 2], [1, 1, 1], [2, 1, 2], [2, 2, -1], [3, 2, 2]):
+        with pytest.raises(ValueError, match="active counts"):
+            gru_pass(x, inv, h0, weights, active)
 
 
 def test_gru_pass_checks_every_state(monkeypatch):
     real = dprw.numcore.gru_cell
     calls = []
 
-    def poisoned(xp, h, u):
-        h_new, cache = real(xp, h, u)
+    def poisoned(xp, h, u, out=None):
+        h_new, cache = real(xp, h, u, out=out)
         calls.append(1)
         if len(calls) == 2:
             h_new[0, 0] = np.nan
@@ -355,7 +379,7 @@ def test_gru_pass_checks_every_state(monkeypatch):
     monkeypatch.setattr(dprw.numcore, "gru_cell", poisoned)
     x, h0, w = gru_inputs(Rng(15), 3, 2, 3, 4)
     with pytest.raises(NonFiniteError, match="gru_pass"):
-        gru_pass(x, h0, [w[k] for k in GRU_GATES])
+        gru_pass(x, np.arange(6), h0, [w[k] for k in GRU_GATES], [2, 2, 1])
 
 
 def test_gru_pass_gradients_are_computed_lazily_and_once(monkeypatch):
@@ -368,18 +392,20 @@ def test_gru_pass_gradients_are_computed_lazily_and_once(monkeypatch):
 
     monkeypatch.setattr(dprw.numcore, "gru_cell_vjp", counting)
     x, h0, w = gru_inputs(Rng(16), 3, 2, 2, 3)
-    states, backward = gru_pass(x, h0, [w[k] for k in GRU_GATES], all_states=True)
-    loss, ce_backward = softmax_cross_entropy(states, np.array([0, 2, 1, 1, 2, 0]), ignore_id=-1)
+    states, backward = gru_pass(x, np.arange(6), h0, [w[k] for k in GRU_GATES], [2, 2, 1], all_states=True)
+    assert states.shape == (5, 3)  # the active rows only
+    loss, ce_backward = softmax_cross_entropy(states, np.array([0, 2, 1, 1, 2]), ignore_id=-1)
     assert calls == []  # a forward-only evaluation computes no gradients
     dx, dh0, dweights = backward(ce_backward(np.float64(1.0)))
-    assert calls == [1, 1, 1]  # one backward step per time step, for all eight inputs
+    assert calls == [1, 1, 1]  # one backward step per time step
     assert dx.shape == x.shape and dh0.shape == h0.shape
     assert [d.shape for d in dweights] == [w[k].shape for k in GRU_GATES]
 
 
 def test_gradcheck_gru_pass_with_pad_rows():
-    # an encoder pass (row 1 is PAD at step 0, row 2 from step 1 on, so
-    # their state freezes) feeds a decoder pass that returns every state
+    # an encoder pass (rows sorted longest first: rows 1 and 2 end after
+    # two steps) feeds a decoder pass that returns the state of every row
+    # whose next target is real
     rng = Rng(12)
     params = {
         "table": rng.derive("table").normal(0.0, 1.0, (5, 3)),
@@ -388,13 +414,15 @@ def test_gradcheck_gru_pass_with_pad_rows():
         **gru_params(rng, 3, 4),
         **{f"dec_{k}": v for k, v in gru_params(rng.derive("dec"), 3, 4).items()},
     }
-    ids = np.array([[1, 0, 4], [2, 3, 0], [4, 1, 0]])
-    targets = np.array([4, 0, 2, 1, -1, 3])
+    ids = np.array([[1, 2, 4], [4, 3, 1], [3, 0, 0]])  # (T, B); 0 where a row has ended
+    active = active_counts([3, 2, 2], 3)
+    targets = np.array([4, 3, 1, 3])  # step 0: every row; step 1: row 0
     enc_ids, dec_ids = ids.reshape(-1), ids[:2].reshape(-1)
 
     def forward(p):
-        h, enc_back = gru_pass(p["table"][enc_ids], p["h0"], [p[k] for k in GRU_GATES], mask=ids != 0)
-        states, dec_back = gru_pass(p["table"][dec_ids], h, [p[f"dec_{k}"] for k in GRU_GATES], all_states=True)
+        h, enc_back = gru_pass(p["table"], enc_ids, p["h0"], [p[k] for k in GRU_GATES], active)
+        dec_weights = [p[f"dec_{k}"] for k in GRU_GATES]
+        states, dec_back = gru_pass(p["table"], dec_ids, h, dec_weights, active[1:], all_states=True)
         loss, ce_back = softmax_cross_entropy(states @ p["out_w"], targets, ignore_id=-1)
 
         def backward():
@@ -402,7 +430,7 @@ def test_gradcheck_gru_pass_with_pad_rows():
             dx_dec, dh, dec = dec_back(g @ p["out_w"].T)
             dx_enc, dh0, enc = enc_back(dh)
             return {
-                "table": rows_grad(p["table"], dec_ids, dx_dec) + rows_grad(p["table"], enc_ids, dx_enc),
+                "table": dx_dec + dx_enc,
                 "h0": dh0,
                 "out_w": states.T @ g,
                 **dict(zip(GRU_GATES, enc)),
@@ -440,13 +468,16 @@ def test_gradcheck_cross_entropy_with_ignored_rows():
 
 
 def test_gradcheck_row_select():
+    # a pass takes its step inputs as rows of the table, some of them twice
     rng = Rng(14)
+    _, h0, w = gru_inputs(rng, 2, 2, 3, 2)
     params = {"table": rng.derive("t").normal(0.0, 1.0, (4, 3))}
-    ids = np.array([0, 2, 1, 2])
+    ids = np.array([0, 2, 2, 1])
 
     def forward(p):
-        loss, ce_back = softmax_cross_entropy(p["table"][ids], np.array([2, 0, 1, 1]), ignore_id=-1)
-        return loss, lambda: {"table": rows_grad(p["table"], ids, ce_back(np.float64(1.0)))}
+        states, back = gru_pass(p["table"], ids, h0, [w[k] for k in GRU_GATES], [2, 2], all_states=True)
+        loss, ce_back = softmax_cross_entropy(states, np.array([1, 0, 1, 1]), ignore_id=-1)
+        return loss, lambda: {"table": back(ce_back(np.float64(1.0)))[0]}
 
     _gradcheck_chain(forward, params)
 
@@ -458,18 +489,20 @@ def test_gradcheck_random_two_layer_models(seed):
     dims = [int(d) for d in rng.derive("dims").integers(2, 5, size=3)]
     steps = int(rng.derive("steps").integers(1, 4))
     all_states = bool(rng.derive("all").integers(0, 2))
-    mask = rng.derive("mask").random((steps, 2)) < 0.7
+    lengths = [steps, int(rng.derive("len").integers(1, steps + 1))]
+    active = active_counts(lengths, steps)
+    inv = rng.derive("inv").integers(0, 3, size=steps * 2)
     params = {
-        "x": rng.derive("x").normal(0.0, 1.0, (steps * 2, dims[0])),
+        "x": rng.derive("x").normal(0.0, 1.0, (3, dims[0])),
         "h": rng.derive("h").normal(0.0, 1.0, (2, dims[1])),
         "w2": rng.derive("w2").normal(0.0, 1.0, (dims[1], dims[2])),
         "b": rng.derive("b").normal(0.0, 1.0, dims[2]),
         **gru_params(rng.derive("gru"), dims[0], dims[1]),
     }
-    targets = np.tile([0, dims[2] - 1], steps if all_states else 1)
+    targets = np.arange(sum(active) if all_states else 2) % dims[2]
 
     def forward(p):
-        hidden, gru_back = gru_pass(p["x"], p["h"], [p[k] for k in GRU_GATES], mask=mask, all_states=all_states)
+        hidden, gru_back = gru_pass(p["x"], inv, p["h"], [p[k] for k in GRU_GATES], active, all_states=all_states)
         loss, ce_back = softmax_cross_entropy(hidden @ p["w2"] + p["b"], targets, ignore_id=-1)
 
         def backward():
@@ -480,6 +513,53 @@ def test_gradcheck_random_two_layer_models(seed):
         return loss, backward
 
     _gradcheck_chain(forward, params)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    b=st.integers(1, 6),
+    steps=st.integers(1, 6),
+    all_states=st.booleans(),
+    seed=st.integers(0, 10_000),
+)
+def test_packed_gru_pass_equals_the_masked_loop(b, steps, all_states, seed):
+    # the packed pass against the graph tape's pass, which steps every row
+    # and keeps a row's state where the (T, B) mask is False, in float64:
+    # an encoder (final states) or a decoder (the active rows' states)
+    rng = Rng(seed)
+    lengths = np.sort(rng.derive("len").integers(1, steps + 1, size=b))[::-1]
+    lengths[0] = steps
+    active = active_counts(lengths, steps)
+    live = np.arange(b) < np.array(active)[:, None]
+    e, h, v, u = 3, 4, 5, 4
+    inv = rng.derive("inv").integers(0, u, size=steps * b)
+    params = {
+        "x": rng.derive("x").normal(0.0, 1.0, (u, e)),
+        "h0": rng.derive("h0").normal(0.0, 0.5, (b, h)),
+        "out_w": rng.derive("out_w").normal(0.0, 1.0, (h, v)),
+        **gru_params(rng.derive("gru"), e, h),
+    }
+    targets = rng.derive("targets").integers(0, v, size=(steps if all_states else 1) * b)
+    live_targets = targets[live.reshape(-1)] if all_states else targets
+
+    hidden, back = gru_pass(params["x"], inv, params["h0"], [params[k] for k in GRU_GATES], active, all_states)
+    loss, ce_back = softmax_cross_entropy(hidden @ params["out_w"], live_targets, ignore_id=-1)
+    g = ce_back(np.float64(1.0))
+    dx, dh0, dweights = back(g @ params["out_w"].T)
+    grads = {"x": dx, "h0": dh0, "out_w": hidden.T @ g, **dict(zip(GRU_GATES, dweights))}
+
+    def build(tape, leaves):
+        rows = tape.row_select(leaves["x"], inv)
+        weights = [leaves[k] for k in GRU_GATES]
+        out = tape.gru_pass(rows, leaves["h0"], weights, mask=live, all_states=all_states)
+        masked = np.where(live.reshape(-1), targets, -1) if all_states else targets
+        return tape.softmax_cross_entropy(tape.matmul(out, leaves["out_w"]), masked, ignore_id=-1)
+
+    expected_loss, expected = graph_loss_and_grads(build, params)
+    assert float(loss) == pytest.approx(float(expected_loss), rel=1e-13)
+    for name, grad in expected.items():
+        scale = max(float(np.abs(grad).max()), 1e-300)
+        np.testing.assert_allclose(grads[name], grad, rtol=0, atol=1e-12 * scale, err_msg=name)
 
 
 # -- Adam ------------------------------------------------------------------------
@@ -537,7 +617,7 @@ def test_finite_difference_check_reports_worst_parameter():
 def _chain_of_every_pass(dtype) -> tuple[Tape, dict, dict, object]:
     """Inputs and parameters of ``dtype`` through every training pass, each
     recorded on a tape with its backward, ending in a scalar loss: a row
-    lookup, both gru_pass forms (masked, all states), clip_rows_l1 with a
+    lookup, both gru_pass forms (final states, all states), clip_rows_l1 with a
     clipped and an inside row, a dense layer and softmax_cross_entropy.
     Returns the tape after backward, every forward value, every gradient
     and the loss."""
@@ -554,11 +634,11 @@ def _chain_of_every_pass(dtype) -> tuple[Tape, dict, dict, object]:
         grads.update({f"{name}.{i}": g for i, g in enumerate(outputs)})
         return outputs
 
-    final, enc_back = gru_pass(table[ids], h0, weights, mask=np.array([[1, 1], [1, 0], [0, 0]], dtype=bool))
+    final, enc_back = gru_pass(table, ids, h0, weights, [2, 1, 0])
 
     def encoder(g):
         dx, dh0, dweights = enc_back(g)
-        keep("encoder", [rows_grad(table, ids, dx), dh0, *dweights])
+        keep("encoder", [dx, dh0, *dweights])
 
     tape.record("encoder", encoder)
     norms = np.abs(final).sum(axis=1)
@@ -566,11 +646,11 @@ def _chain_of_every_pass(dtype) -> tuple[Tape, dict, dict, object]:
     c = float(norms.mean())  # one row clipped, one inside
     latent, norms, scale = clip_rows_l1(final, c)
     tape.record("clip", lambda g: keep("clip", [clip_rows_l1_vjp(g, final, c, norms, scale)])[0])
-    states, dec_back = gru_pass(table[ids], latent, weights, all_states=True)
+    states, dec_back = gru_pass(table, ids, latent, weights, [2, 2, 2], all_states=True)
 
     def decoder(g):
         dx, dlatent, dweights = dec_back(g)
-        return keep("decoder", [rows_grad(table, ids, dx), dlatent, *dweights])[1]
+        return keep("decoder", [dx, dlatent, *dweights])[1]
 
     tape.record("decoder", decoder)
     logits = states @ out_w + out_b

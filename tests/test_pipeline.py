@@ -568,6 +568,37 @@ def test_case_study_encodes_each_split_once_and_reuses_the_inf_row_for_reconstru
     )
 
 
+def test_case_study_indexes_each_pretraining_corpus_once_per_unit(corpora, tmp_path, monkeypatch):
+    indexed, audited = [], []
+    real_index, real_audit = dprw.pipeline.PretrainIndex, dprw.pipeline.leak_audit
+
+    def index_spy(docs):
+        indexed.append(len(docs))
+        return real_index(docs)
+
+    def audit_spy(rewritten, source, pretrain_corpus, margin):
+        audited.append(pretrain_corpus)
+        return real_audit(rewritten, source, pretrain_corpus, margin=margin)
+
+    monkeypatch.setattr(dprw.pipeline, "PretrainIndex", index_spy)
+    monkeypatch.setattr(dprw.pipeline, "leak_audit", audit_spy)
+    run_case_study(
+        ExperimentConfig(
+            mode="case_study",
+            out_dir=str(tmp_path / "case"),
+            dataset_a=str(corpora["dirs"]["flights"]),
+            dataset_b=str(corpora["dirs"]["smart_home"]),
+            autoencoder=TINY_AE,
+            classifier=TINY_CLF,
+            seeds=[1],
+        )
+    )
+    assert indexed == [24, 24]  # one index per (pretrain, seed) unit
+    # each unit's 2 corpora x 5 epsilons audit against its one index, passed third
+    assert len(audited) == 20 and len({id(a) for a in audited}) == 2
+    assert all(isinstance(a, real_index) and len(a) == 24 for a in audited)
+
+
 def test_case_study_rejects_same_directory_name(corpora, tmp_path):
     with pytest.raises(ValueError, match="distinct"):
         run_case_study(
